@@ -12,12 +12,7 @@ through the autoregressive paths:
   :class:`repro.serve.ShardedFleet`;
 - **process** (``--workers N``) — the same fleet fanned across
   :class:`repro.serve.ProcessShardWorker` subprocesses (real OS
-  processes behind the sharded-fleet interface);
-- **shm** (``--workers N``) — the same subprocess workers with bulk
-  payloads riding ``shm://`` shared-memory slab rings instead of the
-  pipe.  A payload micro-bench also reports ``shm_payload_ratio``:
-  bulk-array round-trip p50 copied inline through the pipe vs riding
-  the ring (gated in CI against the committed baseline).
+  processes behind the sharded-fleet interface).
 
 All paths must agree to 1e-9 on every trajectory (they share the
 :func:`repro.core.rollout.cycle_windows` workloads); the report is
@@ -158,68 +153,6 @@ def bench_gateway(
     return record
 
 
-def bench_shm_payload(payload_mb: float = 2.0, reps: int = 40) -> dict:
-    """Bulk-payload round-trip p50: inline pipe frames vs shm ring refs.
-
-    An echo peer (thread) bounces one ``payload_mb`` float64 array back
-    over a pipe pair — the worker wire path minus engine compute — once
-    with inline v2 frames (the payload is copied through the pipe both
-    ways) and once riding a shared-memory slab ring (the pipe then
-    carries only offsets).  The ratio is the pure data-movement win the
-    ``shm://`` scheme buys on bulk estimate/rollout payloads.
-    """
-    import os
-    import threading
-
-    from repro.serve.transport import PipeTransport, ShmRing, shm_ring_dir
-
-    n = int(payload_mb * 1024 * 1024) // 8
-    payload = np.arange(n, dtype=np.float64)
-    p50 = {}
-    for scheme in ("pipe", "shm"):
-        r1, w1 = os.pipe()
-        r2, w2 = os.pipe()
-        client = PipeTransport(os.fdopen(w1, "wb"), os.fdopen(r2, "rb"), peer="bench-client")
-        server = PipeTransport(os.fdopen(w2, "wb"), os.fdopen(r1, "rb"), peer="bench-server")
-        rings = []
-        if scheme == "shm":
-            base = os.path.join(shm_ring_dir(), f"repro-soc-bench-{os.getpid()}")
-            for suffix in ("-req", "-rep"):
-                rings.append(ShmRing(base + suffix, slots=8, slab_bytes=1024 * 1024, create=True))
-            client.attach_shm(tx=rings[0], rx=rings[1])
-            server.attach_shm(tx=rings[1], rx=rings[0])
-
-        def echo():
-            while True:
-                frame = server.recv_frame()
-                if frame is None or frame.kind == "stop":
-                    return
-                server.send_v2("ok", frame.meta, frame.arrays)
-
-        thread = threading.Thread(target=echo, daemon=True)
-        thread.start()
-        samples = []
-        for k in range(reps + 3):
-            t0 = time.perf_counter()
-            client.send_v2("payload", {"k": k}, [payload])
-            client.recv_frame()
-            if k >= 3:  # skip warm-up (page faults, buffer growth)
-                samples.append(time.perf_counter() - t0)
-        client.send_v2("stop", {}, [])
-        thread.join(timeout=5.0)
-        client.close()
-        server.close()
-        for ring in rings:
-            ring.close(unlink=True)
-        p50[scheme] = float(np.median(samples)) * 1e6
-    return {
-        "shm_payload_mb": payload_mb,
-        "pipe_payload_p50_us": p50["pipe"],
-        "shm_payload_p50_us": p50["shm"],
-        "shm_payload_ratio": p50["pipe"] / p50["shm"],
-    }
-
-
 def run(
     cells: int,
     step_s: float,
@@ -264,9 +197,6 @@ def run(
 
     process_s = None
     process_results = None
-    shm_s = None
-    shm_results = None
-    payload = None
     if workers:
         process_fleet = ShardedFleet(
             workers, spec=WorkerSpec(url="pipe://", model=model)
@@ -275,16 +205,6 @@ def run(
         process_results = process_fleet.rollout_fleet(assignments, step_s=step_s)
         process_s = time.perf_counter() - t0
         process_fleet.close()
-
-        shm_fleet = ShardedFleet(
-            workers, spec=WorkerSpec(url="shm://", model=model)
-        )
-        t0 = time.perf_counter()
-        shm_results = shm_fleet.rollout_fleet(assignments, step_s=step_s)
-        shm_s = time.perf_counter() - t0
-        shm_fleet.close()
-
-        payload = bench_shm_payload()
 
     worst = 0.0
     for cid, _ in assignments:
@@ -300,10 +220,6 @@ def run(
         if process_results is not None:
             worst = max(
                 worst, float(np.max(np.abs(ref.soc_pred - process_results[cid].soc_pred)))
-            )
-        if shm_results is not None:
-            worst = max(
-                worst, float(np.max(np.abs(ref.soc_pred - shm_results[cid].soc_pred)))
             )
     if worst > 1e-9:
         print(f"FAIL: rollout paths diverge (max |diff| {worst:.3e} > 1e-9)")
@@ -323,18 +239,9 @@ def run(
         rows.append(
             [f"process ({workers} workers)", process_s, cells / process_s, steps_total / process_s]
         )
-    if shm_s is not None:
-        rows.append(
-            [f"shm ({workers} workers)", shm_s, cells / shm_s, steps_total / shm_s]
-        )
     print(format_table(["path", "wall [s]", "cells/s", "cell-steps/s"], rows, float_digits=3))
     print(f"speedup: {speedup:.1f}x over {steps_total} cell-steps "
           f"(max trajectory |diff| {worst:.2e})")
-    if payload is not None:
-        print(f"shm payload ({payload['shm_payload_mb']:g} MB round-trip): "
-              f"pipe {payload['pipe_payload_p50_us']:.0f}us vs "
-              f"shm {payload['shm_payload_p50_us']:.0f}us p50 "
-              f"-> {payload['shm_payload_ratio']:.2f}x")
 
     if json_out:
         record = {
@@ -349,12 +256,9 @@ def run(
             "batched_s": batched_s,
             "sharded_s": sharded_s,
             "process_s": process_s,
-            "shm_s": shm_s,
             "speedup": speedup,
             "sharded_speedup": None if sharded_s is None else loop_s / sharded_s,
             "process_speedup": None if process_s is None else loop_s / process_s,
-            "shm_speedup": None if shm_s is None else loop_s / shm_s,
-            **(payload or {}),
             "cells_per_s_batched": cells / batched_s,
             "cell_steps_per_s_batched": steps_total / batched_s,
             "max_traj_diff": worst,

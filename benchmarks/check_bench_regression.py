@@ -26,11 +26,6 @@ buying:
 - ``fused_speedup`` (same record): one cross-model fused GEMM chain
   over the per-model dispatch loop on a mixed-model batch in the
   dispatch-bound regime the engine fuses in.
-- ``shm_payload_ratio`` (from the fleet record): a bulk array
-  round-trip copied inline through a pipe over the same payload riding
-  the shared-memory ring.  A change that breaks ring placement (so
-  payloads silently fall back inline) shows up as the ratio dropping
-  to ~1.
 
 Checks applied to the current run (``--current``):
 
@@ -81,7 +76,6 @@ _CONFIG_KEYS = {
     "kernel_speedup": ("reps", "batch", "step_s", "fast"),
     "float32_speedup": ("reps", "batch", "fast"),
     "fused_speedup": ("reps", "fused_models", "fused_batch", "fast"),
-    "shm_payload_ratio": ("shm_payload_mb", "workers", "fast"),
 }
 
 
@@ -130,12 +124,11 @@ def check(baseline: dict, current: dict, tolerance: float, metric: str = "speedu
             f"below the baseline {base:.1f}x"
         )
     extras = {
-        "speedup": ("sharded_speedup", "process_speedup", "shm_speedup"),
+        "speedup": ("sharded_speedup", "process_speedup"),
         "gateway_ratio": (),
         "kernel_speedup": ("batched_speedup", "rollout_kernel_speedup", "frames_speedup"),
         "float32_speedup": (),
         "fused_speedup": (),
-        "shm_payload_ratio": (),
     }[metric]
     for extra in extras:
         if baseline.get(extra) and current.get(extra):
@@ -167,17 +160,11 @@ def check(baseline: dict, current: dict, tolerance: float, metric: str = "speedu
             f"{current['float32_rows_per_s']:,.0f} float32 rows/s "
             f"(baseline recorded {baseline['float32_rows_per_s']:,.0f})"
         )
-    elif metric == "fused_speedup":
+    else:
         print(
             f"raw throughput (informational): "
             f"{current['mixed_model_rows_per_s']:,.0f} fused mixed-model rows/s "
             f"(baseline recorded {baseline['mixed_model_rows_per_s']:,.0f})"
-        )
-    else:
-        print(
-            f"raw latency (informational): "
-            f"shm round-trip p50 {current['shm_payload_p50_us']:.0f}us "
-            f"(baseline recorded {baseline['shm_payload_p50_us']:.0f}us)"
         )
     return failures
 

@@ -326,8 +326,8 @@ def _worker_url_template(args) -> str | None:
     if getattr(args, "worker_url", None):
         return args.worker_url
     transport = getattr(args, "worker_transport", "pipe")
-    if transport in ("pipe", "shm"):
-        return f"{transport}://"
+    if transport == "pipe":
+        return "pipe://"
     if transport == "tcp":
         return "tcp://127.0.0.1:0"
     import os
@@ -1069,11 +1069,9 @@ def _flag_parents() -> dict[str, argparse.ArgumentParser]:
 
     transport = argparse.ArgumentParser(add_help=False)
     g = transport.add_argument_group("worker transport")
-    g.add_argument("--worker-transport", choices=("pipe", "shm", "tcp", "unix"), default="pipe",
+    g.add_argument("--worker-transport", choices=("pipe", "tcp", "unix"), default="pipe",
                    help="medium for --workers shards: stdio pipes (local fast path), "
-                        "shared-memory rings (pipes carry framing only; bulk arrays "
-                        "ride /dev/shm slabs), TCP sockets on 127.0.0.1, or "
-                        "Unix-domain sockets (default: pipe)")
+                        "TCP sockets on 127.0.0.1, or Unix-domain sockets (default: pipe)")
     g.add_argument("--worker-url", default=None,
                    help="address template of already-running workers (e.g. "
                         "'tcp://host:73{shard}'); overrides --worker-transport and "

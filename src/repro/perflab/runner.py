@@ -19,7 +19,7 @@ returns one JSON-safe artifact containing:
   per-worker ``process_*`` series from the topology-merged snapshot.
 
 Topologies: ``inproc`` (one :class:`FleetEngine`), ``shards``
-(in-process :class:`ShardedFleet`), ``pipe``/``shm``/``tcp``
+(in-process :class:`ShardedFleet`), ``pipe``/``tcp``
 (subprocess workers over the respective transports, each child with
 its own registry merged over the wire).
 
@@ -51,7 +51,7 @@ from .table import RunConfig, analysis_defaults, expand_table
 
 __all__ = ["build_topology", "execute_run", "run_table"]
 
-_URLS = {"pipe": "pipe://", "shm": "shm://", "tcp": "tcp://127.0.0.1:0"}
+_URLS = {"pipe": "pipe://", "tcp": "tcp://127.0.0.1:0"}
 
 
 def build_topology(cfg: RunConfig, model, metrics: MetricsRegistry):

@@ -36,7 +36,7 @@ from pathlib import Path
 
 __all__ = ["RunConfig", "expand_table", "load_table", "TOPOLOGIES"]
 
-TOPOLOGIES = ("inproc", "shards", "pipe", "shm", "tcp")
+TOPOLOGIES = ("inproc", "shards", "pipe", "tcp")
 
 _SWEEP_AXES = ("topology", "workers", "cells", "max_batch", "shape", "rate")
 

@@ -278,8 +278,9 @@ class MicroBatcher:
         just the batched run — sits under the caller's crash-recovery
         umbrella.
         """
-        rejected = [r for r in batch if r.cell_id not in self.engine]
-        served = [r for r in batch if r.cell_id in self.engine]
+        known = [r.cell_id in self.engine for r in batch]  # one probe per request
+        rejected = [r for r, ok in zip(batch, known) if not ok]
+        served = [r for r, ok in zip(batch, known) if ok]
         outcomes = [
             (r, float("nan"), f"unknown cell {r.cell_id!r}: not registered with the engine")
             for r in rejected

@@ -587,7 +587,7 @@ class ShardedFleet:
         fixed: set[str] = set()
         for index in range(n_shards):
             s = self._specs[min(index, len(self._specs) - 1)]
-            if s.url is None or s.spawn or "{shard}" in s.url or s.scheme in ("pipe", "shm"):
+            if s.url is None or s.spawn or "{shard}" in s.url or s.scheme == "pipe":
                 continue
             if s.url in fixed:
                 raise ValueError(

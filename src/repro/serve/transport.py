@@ -18,32 +18,10 @@ protocol) over any medium, addressed by URL:
 
 - ``pipe://``            — parent<->child stdio pipes (the local fast
   path; spawn semantics stay with the worker classes);
-- ``shm://``             — stdio pipes for framing plus a pair of
-  preallocated :class:`ShmRing` shared-memory slab rings for bulk
-  array payloads (the fastest local path; see below);
 - ``unix:///path/sock``  — a Unix-domain socket (same-host daemons);
 - ``tcp://host:port``    — a TCP socket (multi-host fleets; Nagle is
   disabled so micro-batched request frames are not coalesced against
   the latency SLO).
-
-**Shared-memory rings.**  ``shm://`` keeps the pipe for control flow
-and frame ordering but stops copying array payloads through it: each
-direction gets a file-backed ``mmap`` ring of fixed-size slabs (a file
-under ``/dev/shm`` when the host has one), the sender places payload
-bytes into consecutive slabs (:meth:`ShmRing.place`) and ships a v2
-frame whose array specs carry ``[offset, nbytes]`` refs instead of
-in-band bytes (:func:`repro.serve.wire.encode_v2_shm`), and the
-receiver maps them back as zero-copy views.  No per-slab bookkeeping
-is needed because the worker protocol is strictly one request / one
-reply in order per transport and receivers copy results out at the API
-boundary before the next send — by the time a writer's bump cursor
-wraps, the previous frame's refs are dead.  Frames that don't fit the
-ring fall back to in-band v2 automatically (capacity bounds memory,
-never message size).  ``multiprocessing.shared_memory`` is avoided on
-purpose: its resource tracker unlinks attached segments on exit in the
-supported 3.10–3.12 range (bpo-38119); a plain file + ``mmap`` has
-none of that magic and unlinks exactly once, in the owner's
-``_release``.
 
 Peer-death detection is the part that genuinely changes across media.
 A spawned child's death is visible out-of-band (``poll``/``waitpid``
@@ -75,7 +53,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import mmap
 import os
 import selectors
 import socket
@@ -88,7 +65,6 @@ from . import wire
 __all__ = [
     "PeerGone",
     "PipeTransport",
-    "ShmRing",
     "SocketTransport",
     "Transport",
     "TransportError",
@@ -97,18 +73,9 @@ __all__ = [
     "TransportURL",
     "connect",
     "parse_url",
-    "shm_ring_dir",
 ]
 
-SCHEMES = ("pipe", "shm", "tcp", "unix")
-
-# shm ring geometry defaults: 16 slabs x 256 KiB = 4 MiB per direction,
-# comfortably above the largest smoke-fleet rollout reply while staying
-# irrelevant next to the engine's own buffers
-DEFAULT_SHM_SLOTS = 16
-DEFAULT_SHM_SLAB_BYTES = 256 * 1024
-_SHM_ALIGN = 64  # per-array alignment inside the ring (cache line)
-
+SCHEMES = ("pipe", "tcp", "unix")
 
 class TransportError(ConnectionError):
     """Base class for transport-layer failures."""
@@ -155,10 +122,10 @@ def parse_url(url: str | TransportURL) -> TransportURL:
     scheme, sep, rest = url.partition("://")
     if not sep or scheme not in SCHEMES:
         raise ValueError(f"unsupported transport URL {url!r} (schemes: {', '.join(SCHEMES)})")
-    if scheme in ("pipe", "shm"):
+    if scheme == "pipe":
         if rest:
-            raise ValueError(f"{scheme} transport takes no address, got {url!r}")
-        return TransportURL(scheme=scheme)
+            raise ValueError(f"pipe transport takes no address, got {url!r}")
+        return TransportURL(scheme="pipe")
     if scheme == "unix":
         if not rest.startswith("/"):
             raise ValueError(f"unix transport needs an absolute path, got {url!r}")
@@ -175,120 +142,6 @@ def parse_url(url: str | TransportURL) -> TransportURL:
     return TransportURL(scheme="tcp", host=host, port=port_num)
 
 
-class ShmRing:
-    """A preallocated ring of shared-memory slabs for bulk payloads.
-
-    One ring serves one direction of one transport: exactly one process
-    writes it (via :meth:`place`) and exactly one reads it (via
-    :attr:`buf`, through ``np.frombuffer`` in the wire codec).  A
-    message's payload blocks are copied into consecutive 64-byte-aligned
-    positions starting at a slab boundary; the bump cursor wraps to slab
-    0 when the next message would run off the end, which is safe because
-    the worker protocol keeps at most one frame in flight per direction
-    (see the module docstring).  ``place`` returns ``None`` when a
-    message is bigger than the whole ring — the caller falls back to an
-    in-band frame.
-
-    The backing store is a plain file (created under ``/dev/shm`` when
-    available) mapped with ``mmap`` — *not*
-    ``multiprocessing.shared_memory``, whose resource tracker unlinks
-    attached segments on process exit in 3.10–3.12.  The creating side
-    passes ``create=True`` and later ``close(unlink=True)``; attaching
-    sides open the existing file and just ``close()``.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        slots: int = DEFAULT_SHM_SLOTS,
-        slab_bytes: int = DEFAULT_SHM_SLAB_BYTES,
-        create: bool = False,
-    ):
-        self.path = str(path)
-        self.slots = int(slots)
-        self.slab_bytes = int(slab_bytes)
-        if self.slots < 1:
-            raise ValueError(f"shm ring needs at least one slab, got {self.slots}")
-        if self.slab_bytes < _SHM_ALIGN or self.slab_bytes % _SHM_ALIGN:
-            raise ValueError(f"slab size must be a positive multiple of {_SHM_ALIGN}, got {self.slab_bytes}")
-        self.nbytes = self.slots * self.slab_bytes
-        fd = os.open(self.path, os.O_RDWR | (os.O_CREAT if create else 0), 0o600)
-        try:
-            if create:
-                os.ftruncate(fd, self.nbytes)
-            elif os.fstat(fd).st_size < self.nbytes:
-                raise ValueError(
-                    f"shm ring file {self.path} is {os.fstat(fd).st_size} bytes, need {self.nbytes}"
-                )
-            self._mm = mmap.mmap(fd, self.nbytes)
-        finally:
-            os.close(fd)
-        self.buf = self._mm  # the receive-side buffer np.frombuffer maps over
-        self._cursor = 0  # next free slab index (writer side only)
-        self._closed = False
-
-    def place(self, blocks) -> list[int] | None:
-        """Copy payload blocks into the ring; their byte offsets, or ``None``.
-
-        ``blocks`` are buffer objects (memoryviews of array memory).
-        All blocks of one message land in one consecutive slab run so a
-        single wrap check covers the whole message.
-        """
-        rel = []
-        total = 0
-        for block in blocks:
-            rel.append(total)
-            total += -(-block.nbytes // _SHM_ALIGN) * _SHM_ALIGN
-        need = -(-total // self.slab_bytes)
-        if need > self.slots:
-            return None
-        if self._cursor + need > self.slots:
-            self._cursor = 0  # wrap: the previous frame has been consumed
-        base = self._cursor * self.slab_bytes
-        self._cursor += need
-        for block, offset in zip(blocks, rel):
-            self._mm[base + offset : base + offset + block.nbytes] = block
-        return [base + offset for offset in rel]
-
-    def close(self, unlink: bool = False) -> None:
-        """Unmap the ring; the creating side also unlinks the backing file.
-
-        Mapped views handed out earlier (decoded arrays not yet copied)
-        keep the pages alive until they are garbage collected — mmap
-        close only fails if a view is *actively* exported, in which case
-        the unmap is skipped and retried implicitly at GC.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        with contextlib.suppress(BufferError, ValueError):
-            self._mm.close()
-        if unlink:
-            with contextlib.suppress(OSError):
-                os.unlink(self.path)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __repr__(self) -> str:
-        return f"ShmRing(path={self.path!r}, slots={self.slots}, slab_bytes={self.slab_bytes})"
-
-
-def shm_ring_dir() -> str:
-    """Directory for ring backing files: ``/dev/shm`` when the host has one.
-
-    Falling back to the default temp dir keeps ``shm://`` working on
-    hosts without a tmpfs mount — the mapping is still shared memory;
-    only eviction-to-disk behavior differs under memory pressure.
-    """
-    if os.path.isdir("/dev/shm"):
-        return "/dev/shm"
-    import tempfile
-
-    return tempfile.gettempdir()
-
-
 class Transport:
     """One framed, bidirectional connection to a peer.
 
@@ -299,10 +152,6 @@ class Transport:
     """
 
     peer: str = "?"
-    # shm rings for bulk payloads (attach_shm); class attrs so plain
-    # pipe/socket transports pay nothing for the feature existing
-    _shm_tx: ShmRing | None = None
-    _shm_rx: ShmRing | None = None
 
     # -- raw stream hooks (subclass responsibility) --------------------
     def _write(self, chunk) -> None:
@@ -340,29 +189,13 @@ class Transport:
         body = wire.pickle_body(payload)
         self.send_chunks([wire.frame_header(len(body)), body])
 
-    def attach_shm(self, tx: ShmRing | None = None, rx: ShmRing | None = None) -> None:
-        """Route bulk v2 payloads through shared-memory rings.
-
-        ``tx`` is the ring this side writes (:meth:`send_v2` payloads),
-        ``rx`` the ring the peer writes (resolved by
-        :meth:`recv_frame`'s decode).  Both sides of a connection attach
-        the same two rings with the roles swapped.
-        """
-        self._shm_tx = tx
-        self._shm_rx = rx
-
     def send_v2(self, kind: str, meta: dict, arrays) -> None:
-        """Write one v2 frame, via the attached shm ring when it fits.
+        """Write one v2 frame.
 
-        Encoding happens before any bytes hit the stream on both paths,
-        so a ``TypeError`` from non-v2-expressible content still leaves
-        the stream clean for the caller's pickle fallback.
+        Encoding happens before any bytes hit the stream, so a
+        ``TypeError`` from non-v2-expressible content still leaves the
+        stream clean for the caller's pickle fallback.
         """
-        if self._shm_tx is not None and not self._shm_tx.closed:
-            chunks = wire.encode_v2_shm(kind, meta, arrays, self._shm_tx)
-            if chunks is not None:
-                self.send_chunks(chunks)
-                return
         self.send_chunks(wire.encode_v2(kind, meta, arrays))
 
     def recv_frame(self, timeout_s: float | None = None):
@@ -392,7 +225,7 @@ class Transport:
             self._set_read_timeout(None)
         if body is None:
             raise PeerGone(f"peer {self.peer} vanished mid-frame (partial frame discarded)")
-        return wire.decode_body(body, shm=self._shm_rx)
+        return wire.decode_body(body)
 
     def request(self, payload, timeout_s: float | None = None):
         """One pickled round-trip; the building block for heartbeats.
@@ -614,8 +447,8 @@ def connect(
     when the deadline passes without a connection.
     """
     parsed = parse_url(url)
-    if parsed.scheme in ("pipe", "shm"):
-        raise ValueError(f"{parsed.scheme}:// has no dialable address; spawn the worker instead")
+    if parsed.scheme == "pipe":
+        raise ValueError("pipe:// has no dialable address; spawn the worker instead")
     deadline = time.monotonic() + timeout_s
     last_error: Exception | None = None
     while True:
@@ -646,8 +479,8 @@ class TransportListener:
 
     def __init__(self, url: str | TransportURL, backlog: int = 16):
         parsed = parse_url(url)
-        if parsed.scheme in ("pipe", "shm"):
-            raise ValueError(f"{parsed.scheme}:// cannot listen; it is a spawn-time transport")
+        if parsed.scheme == "pipe":
+            raise ValueError("pipe:// cannot listen; it is a spawn-time transport")
         if parsed.scheme == "tcp":
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

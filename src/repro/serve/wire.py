@@ -41,21 +41,6 @@ rare and structural — and anything v2 cannot express (e.g. cycle tags
 that are not JSON) falls back to pickle per message, never per
 session.
 
-**Shared-memory refs (shm transport).**  Over the ``shm://`` local
-transport (:class:`repro.serve.transport.ShmRing`) bulk payloads stop
-riding the pipe entirely: :func:`encode_v2_shm` copies each array's
-bytes into a preallocated shared-memory slab ring and the frame body
-carries only the header + JSON meta, with each array spec extended by
-``"shm": [offset, nbytes]``.  The receiver (:func:`decode_body` with a
-``shm`` ring attached) maps each ref back with ``np.frombuffer`` over
-the ring — the same read-only-view contract as in-band payloads.  A
-message whose payloads do not fit the ring returns ``None`` from
-:func:`encode_v2_shm` and falls back to an in-band :func:`encode_v2`
-frame, so ring capacity bounds memory, never message size.  Ref frames
-are only valid between the two endpoints sharing the ring; everything
-else about the format (dispatch byte, meta, fallback rules) is
-unchanged.
-
 **Trace context.**  The kind-specific ``meta`` block is free-form
 JSON, so distributed-tracing context rides as one optional meta key
 (:data:`TRACE_META_KEY`): the compact ``[trace_id, span_id, flags]``
@@ -71,7 +56,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pickle
+import re
 import struct
 from typing import Iterable, Sequence
 
@@ -95,7 +82,6 @@ __all__ = [
     "write_pickle",
     "write_v2",
     "encode_v2",
-    "encode_v2_shm",
     "encode_str_list",
     "decode_str_list",
     "encode_rollout_request",
@@ -108,6 +94,13 @@ V2_MAGIC = 0xB2
 V2_VERSION = 2
 _LENGTH = struct.Struct(">I")
 _V2_HEAD = struct.Struct(">BBIH")
+
+# v2 arrays are plain numbers: bool, (unsigned) integer, float, complex
+_V2_KINDS = "biufc"
+_V2_DTYPE = re.compile(rf"[<>|][{_V2_KINDS}][0-9]{{1,2}}")  # what ``dtype.str`` gives for those
+# a frame body is under 4 GiB, so no array with a payload has a
+# dimension past 2**32; the bound keeps numpy's shape math in range
+_MAX_DIM = 1 << 32
 
 # Optional meta key carrying trace context across the process boundary.
 TRACE_META_KEY = "tc"
@@ -167,7 +160,7 @@ def pickle_body(payload) -> bytes:
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def decode_body(body: bytes, shm=None):
+def decode_body(body: bytes):
     """Decode one frame body: a :class:`V2Frame` or an unpickled payload.
 
     The first byte dispatches — ``0xB2`` is the v2 magic, ``0x80`` the
@@ -175,13 +168,14 @@ def decode_body(body: bytes, shm=None):
     :func:`read_frame` always did; transports that read bodies
     themselves (for torn-stream detection) decode through this.
 
-    ``shm`` is the receive-side shared-memory ring (any object exposing
-    the mapped bytes as ``.buf``); array specs carrying ``"shm"`` refs
-    are resolved against it.  Without a ring attached such frames raise
-    ``ValueError`` — they are meaningless off their transport.
+    A malformed v2 body (truncated, inconsistent header and meta,
+    negative dimensions, payload sizes that disagree with the body
+    length) raises ``ValueError``, as does an empty body.
     """
+    if not body:
+        raise ValueError("empty frame body")
     if body[:1] == bytes([V2_MAGIC]):
-        return _decode_v2(body, shm=shm)
+        return _decode_v2(body)
     return pickle.loads(body)
 
 
@@ -220,8 +214,8 @@ def encode_v2(kind: str, meta: dict, arrays: Sequence[np.ndarray]) -> list:
     specs = []
     for array in arrays:
         array = np.ascontiguousarray(array)
-        if array.dtype.hasobject:
-            raise TypeError("v2 frames carry raw numeric arrays, not object dtypes")
+        if array.dtype.kind not in _V2_KINDS:
+            raise TypeError(f"v2 frames carry raw numeric arrays, not {array.dtype}")
         specs.append({"dtype": array.dtype.str, "shape": list(array.shape)})
         if array.size:  # empty views cannot be byte-cast; they carry no payload
             blocks.append(memoryview(array).cast("B"))
@@ -238,71 +232,55 @@ def write_v2(stream, kind: str, meta: dict, arrays: Sequence[np.ndarray]) -> Non
     stream.flush()
 
 
-def encode_v2_shm(kind: str, meta: dict, arrays: Sequence[np.ndarray], ring) -> list | None:
-    """Serialize a v2 message with payloads placed in a shared-memory ring.
-
-    Array bytes are copied into ``ring`` (via its ``place`` method) and
-    each spec gains an ``"shm": [offset, nbytes]`` ref; the returned
-    buffers carry only the header + meta, so the bulk payload never
-    touches the stream.  Returns ``None`` when the payloads do not fit
-    the ring — the caller sends a plain in-band :func:`encode_v2` frame
-    instead.  Like :func:`encode_v2`, the JSON meta is fully serialized
-    before anything is written to the *stream*, so pickle fallback on
-    ``TypeError`` still sees a clean stream (slab bytes already placed
-    are simply overwritten by a later message).
-    """
-    if len(arrays) > 0xFFFF:
-        raise TypeError(f"{len(arrays)} arrays exceed the v2 frame limit of 65535")
-    blocks: list = []
-    normalized: list[tuple[np.ndarray, bool]] = []
-    for array in arrays:
-        array = np.ascontiguousarray(array)
-        if array.dtype.hasobject:
-            raise TypeError("v2 frames carry raw numeric arrays, not object dtypes")
-        payload = bool(array.size)  # empty arrays carry no payload, shm or not
-        normalized.append((array, payload))
-        if payload:
-            blocks.append(memoryview(array).cast("B"))
-    offsets = ring.place(blocks)
-    if offsets is None:
-        return None
-    refs = iter(offsets)
-    specs = []
-    for array, payload in normalized:
-        spec = {"dtype": array.dtype.str, "shape": list(array.shape)}
-        if payload:
-            spec["shm"] = [next(refs), array.nbytes]
-        specs.append(spec)
-    meta_b = json.dumps({"kind": kind, "meta": meta, "arrays": specs}, separators=(",", ":")).encode("utf-8")
-    head = _V2_HEAD.pack(V2_MAGIC, V2_VERSION, len(meta_b), len(arrays))
-    return [_LENGTH.pack(_V2_HEAD.size + len(meta_b)) + head + meta_b]
-
-
-def _decode_v2(body: bytes, shm=None) -> V2Frame:
+def _decode_v2(body: bytes) -> V2Frame:
+    """Decode a v2 body; every malformed input raises ``ValueError``."""
+    if len(body) < _V2_HEAD.size:
+        raise ValueError(f"v2 body is {len(body)} bytes, shorter than its {_V2_HEAD.size}-byte header")
     magic, version, meta_len, n_arrays = _V2_HEAD.unpack_from(body, 0)
     if version > V2_VERSION:
         raise ValueError(f"frame format v{version} is newer than this build (v{V2_VERSION})")
     offset = _V2_HEAD.size
-    info = json.loads(body[offset : offset + meta_len].decode("utf-8"))
+    if offset + meta_len > len(body):
+        raise ValueError(f"v2 meta block of {meta_len} bytes runs past the {len(body)}-byte body")
+    try:
+        info = json.loads(body[offset : offset + meta_len].decode("utf-8"))
+    except RecursionError as exc:
+        raise ValueError("v2 meta nests too deeply") from exc
     offset += meta_len
-    if len(info["arrays"]) != n_arrays:
-        raise ValueError(f"frame header promises {n_arrays} arrays, meta lists {len(info['arrays'])}")
+    if not isinstance(info, dict):
+        raise ValueError("v2 meta must be a JSON object")
+    kind, meta, specs = info.get("kind"), info.get("meta"), info.get("arrays")
+    if not isinstance(kind, str) or not isinstance(meta, dict) or not isinstance(specs, list):
+        raise ValueError("v2 meta needs a string 'kind', an object 'meta' and an 'arrays' list")
+    if len(specs) != n_arrays:
+        raise ValueError(f"frame header promises {n_arrays} arrays, meta lists {len(specs)}")
     arrays = []
-    for spec in info["arrays"]:
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        ref = spec.get("shm")
-        if ref is not None:
-            if shm is None:
-                raise ValueError("frame carries shm refs but no ring is attached to this transport")
-            array = np.frombuffer(shm.buf, dtype=dtype, count=count, offset=int(ref[0])).reshape(shape)
-            array.flags.writeable = False  # same read-only-view contract as in-band payloads
-        else:
-            array = np.frombuffer(body, dtype=dtype, count=count, offset=offset).reshape(shape)
-            offset += count * dtype.itemsize
-        arrays.append(array)
-    return V2Frame(kind=info["kind"], meta=info["meta"], arrays=arrays)
+    for spec in specs:
+        dtype, shape = _array_spec(spec)
+        count = math.prod(shape)
+        nbytes = count * dtype.itemsize
+        if offset + nbytes > len(body):
+            raise ValueError(f"v2 array payloads run past the {len(body)}-byte body")
+        arrays.append(np.frombuffer(body, dtype=dtype, count=count, offset=offset).reshape(shape))
+        offset += nbytes
+    if offset != len(body):
+        raise ValueError(f"v2 body has {len(body) - offset} bytes beyond its declared payloads")
+    return V2Frame(kind=kind, meta=meta, arrays=arrays)
+
+
+def _array_spec(spec) -> tuple[np.dtype, tuple[int, ...]]:
+    """Validate one ``{"dtype", "shape"}`` array spec from v2 meta."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"malformed v2 array spec {spec!r}")
+    dtype, shape = spec.get("dtype"), spec.get("shape")
+    if not isinstance(dtype, str) or not _V2_DTYPE.fullmatch(dtype):
+        raise ValueError(f"v2 arrays carry plain numeric dtypes, not {dtype!r}")
+    if not isinstance(shape, list) or not all(type(dim) is int and 0 <= dim < _MAX_DIM for dim in shape):
+        raise ValueError(f"malformed v2 array shape {shape!r}")
+    try:
+        return np.dtype(dtype), tuple(shape)
+    except TypeError as exc:
+        raise ValueError(f"unknown v2 array dtype {dtype!r}") from exc
 
 
 # -- bulk-message payload codecs ---------------------------------------

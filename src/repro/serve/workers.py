@@ -11,11 +11,7 @@ duck-typed interface over the length-prefixed frame protocol
 
 - :class:`ProcessShardWorker` — the local fast path: a child process
   over its stdin/stdout pipes (``pipe://``), crash detection backed by
-  ``waitpid`` exit codes.  With ``shm=True`` (``shm://``) the pipes
-  keep carrying frames but bulk array payloads move through a pair of
-  :class:`~repro.serve.transport.ShmRing` shared-memory rings — the
-  parent creates them at spawn, ships their paths in the ``init``
-  spec, and unlinks them at release;
+  ``waitpid`` exit codes;
 - :class:`RemoteShardWorker` — the same protocol over a Unix or TCP
   socket (``unix:///path``, ``tcp://host:port``): a worker on another
   host, or a locally ``spawn``-ed standalone process.  No ``waitpid``
@@ -94,16 +90,12 @@ from .engine import CellState, FleetEngine
 from .persistence import StateJournal
 from .registry import ModelRegistry
 from .transport import (
-    DEFAULT_SHM_SLAB_BYTES,
-    DEFAULT_SHM_SLOTS,
     PipeTransport,
-    ShmRing,
     Transport,
     TransportError,
     TransportListener,
     connect,
     parse_url,
-    shm_ring_dir,
 )
 
 __all__ = [
@@ -256,9 +248,7 @@ class _WorkerClient:
         """Batched Branch 1 on the worker (see ``FleetEngine.estimate``).
 
         Ships the batch as a v2 zero-copy frame: one struct header, the
-        cell-id blob, and three raw float payloads — no pickling.  Over
-        an shm transport the payloads ride the shared-memory ring
-        (:meth:`Transport.send_v2 <repro.serve.transport.Transport.send_v2>`).
+        cell-id blob, and three raw float payloads — no pickling.
         """
         ids = list(cell_ids)
         n = len(ids)
@@ -487,13 +477,6 @@ class ProcessShardWorker(_WorkerClient):
         (``"float64"`` default / ``"float32"``); see
         :class:`~repro.serve.engine.FleetEngine`.  Estimate/predict
         replies come back in this dtype.
-    shm:
-        Exchange bulk array payloads through a pair of shared-memory
-        slab rings (the ``shm://`` scheme) instead of copying them
-        through the pipes.  The rings are created fresh at every
-        (re)spawn and unlinked when the worker is released;
-        ``shm_slots`` × ``shm_slab_bytes`` bounds each direction's
-        ring (oversized messages fall back to in-band frames).
     """
 
     def __init__(
@@ -509,9 +492,6 @@ class ProcessShardWorker(_WorkerClient):
         journal_segment_bytes: int = 0,
         drift_from_registry: bool = False,
         dtype=None,
-        shm: bool = False,
-        shm_slots: int = DEFAULT_SHM_SLOTS,
-        shm_slab_bytes: int = DEFAULT_SHM_SLAB_BYTES,
     ):
         self.name = name
         self._spec = _engine_spec(
@@ -526,10 +506,6 @@ class ProcessShardWorker(_WorkerClient):
             drift_from_registry,
             dtype,
         )
-        self._shm = bool(shm)
-        self._shm_slots = int(shm_slots)
-        self._shm_slab_bytes = int(shm_slab_bytes)
-        self._rings: tuple[ShmRing, ShmRing] | None = None
         self._proc: subprocess.Popen | None = None
         self._transport = None
         self._exit_code: int | None = None
@@ -595,25 +571,16 @@ class ProcessShardWorker(_WorkerClient):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __del__(self):  # best-effort: do not leak children or ring files
+    def __del__(self):  # best-effort: do not leak children
         try:
             if self._proc is not None and self._proc.poll() is None:
                 self._proc.kill()
                 self._proc.wait()
-            if self._rings is not None:
-                for ring in self._rings:
-                    ring.close(unlink=True)
         except Exception:
             pass
 
     # ------------------------------------------------------------------
     def _spawn(self) -> None:
-        if self._rings is not None:
-            # restart() after an external kill never went through
-            # _transport_failed/_release; drop the dead child's rings
-            for ring in self._rings:
-                ring.close(unlink=True)
-            self._rings = None
         # -c (not -m): runpy would re-execute this module on top of the
         # copy the package __init__ already imported
         bootstrap = "import sys; from repro.serve.workers import worker_main; sys.exit(worker_main())"
@@ -623,53 +590,15 @@ class ProcessShardWorker(_WorkerClient):
             stdout=subprocess.PIPE,
             env=_child_env(),
         )
-        scheme = "shm" if self._shm else "pipe"
-        self._transport = PipeTransport(
-            self._proc.stdin, self._proc.stdout, peer=f"{scheme}://{self.name}"
-        )
+        self._transport = PipeTransport(self._proc.stdin, self._proc.stdout, peer=f"pipe://{self.name}")
         self._exit_code = None
-        spec = self._spec
-        if self._shm:
-            # fresh rings per spawn: a respawned child must never read a
-            # dead sibling's cursor state.  req = parent writes/child
-            # reads, rep = the reverse; the child learns the paths (and
-            # its swapped roles) from the init spec.
-            ring_dir = shm_ring_dir()
-            tag = f"repro-soc-{os.getpid()}-{id(self):x}-{self.restarts}"
-            req = ShmRing(
-                os.path.join(ring_dir, f"{tag}-req"),
-                slots=self._shm_slots,
-                slab_bytes=self._shm_slab_bytes,
-                create=True,
-            )
-            rep = ShmRing(
-                os.path.join(ring_dir, f"{tag}-rep"),
-                slots=self._shm_slots,
-                slab_bytes=self._shm_slab_bytes,
-                create=True,
-            )
-            self._rings = (req, rep)
-            self._transport.attach_shm(tx=req, rx=rep)
-            spec = {
-                **spec,
-                "shm": {
-                    "req": req.path,
-                    "rep": rep.path,
-                    "slots": self._shm_slots,
-                    "slab_bytes": self._shm_slab_bytes,
-                },
-            }
-        self._call("init", spec)
+        self._call("init", self._spec)
 
     def _release(self) -> None:
         proc, self._proc = self._proc, None
         transport, self._transport = self._transport, None
-        rings, self._rings = self._rings, None
         if transport is not None:
             transport.close()
-        if rings is not None:
-            for ring in rings:
-                ring.close(unlink=True)
         if proc is not None:
             for stream in (proc.stdin, proc.stdout):
                 if stream is not None:
@@ -983,10 +912,6 @@ class WorkerSpec:
       thread-sharded mode);
     - ``url="pipe://"`` — a :class:`ProcessShardWorker` subprocess
       over stdio pipes (the local fast path);
-    - ``url="shm://"`` — the same subprocess topology, but bulk array
-      payloads travel through preallocated shared-memory slab rings
-      (``shm_slots`` x ``shm_slab_bytes`` each way); pipes carry only
-      the small framing/meta bytes;
     - ``url="tcp://host:port"`` / ``"unix:///path"`` — a
       :class:`RemoteShardWorker`; with ``spawn=True`` the worker
       process is launched locally first (``tcp://127.0.0.1:0`` picks
@@ -1021,8 +946,6 @@ class WorkerSpec:
     journal_segment_bytes: int = 0
     drift_from_registry: bool = False
     dtype: object = None
-    shm_slots: int = DEFAULT_SHM_SLOTS
-    shm_slab_bytes: int = DEFAULT_SHM_SLAB_BYTES
     spawn: bool = False
     name: str = "shard{shard}"
     connect_timeout_s: float = 10.0
@@ -1066,13 +989,8 @@ class WorkerSpec:
             drift_from_registry=self.drift_from_registry,
             dtype=self.dtype,
         )
-        if scheme in ("pipe", "shm"):
-            return ProcessShardWorker(
-                **common,
-                shm=(scheme == "shm"),
-                shm_slots=self.shm_slots,
-                shm_slab_bytes=self.shm_slab_bytes,
-            )
+        if scheme == "pipe":
+            return ProcessShardWorker(**common)
         url = self.url.format(shard=index) if "{shard}" in self.url else self.url
         return RemoteShardWorker(
             url,
@@ -1205,8 +1123,10 @@ class WorkerEndpoint:
         while True:
             try:
                 frame = self.transport.recv_frame()
-            except TransportError:
-                frame = None  # peer vanished mid-frame: same as a close
+            except (TransportError, ValueError):
+                # the peer vanished mid-frame, or sent a malformed v2
+                # body: either way the connection is done, not the worker
+                frame = None
             if frame is None:
                 self._close_journal()
                 return "closed"
@@ -1232,13 +1152,6 @@ class WorkerEndpoint:
         try:
             if op == "init":
                 self.engine = _build_engine(args[0])
-                shm_spec = args[0].get("shm")
-                if shm_spec is not None:
-                    # roles swap on this side: the parent's request ring is
-                    # our receive ring, its reply ring is our transmit ring
-                    rx = ShmRing(shm_spec["req"], slots=shm_spec["slots"], slab_bytes=shm_spec["slab_bytes"])
-                    tx = ShmRing(shm_spec["rep"], slots=shm_spec["slots"], slab_bytes=shm_spec["slab_bytes"])
-                    self.transport.attach_shm(tx=tx, rx=rx)
                 if args[0].get("trace"):
                     from ..monitor.tracing import SpanTracer
 

@@ -19,7 +19,7 @@ def gate():
     return module
 
 
-def fleet_record(speedup=60.0, shm_ratio=1.8):
+def fleet_record(speedup=60.0):
     return {
         "cells": 128,
         "step_s": 0.5,
@@ -27,10 +27,24 @@ def fleet_record(speedup=60.0, shm_ratio=1.8):
         "speedup": speedup,
         "max_traj_diff": 1e-12,
         "cell_steps_per_s_batched": 600_000.0,
-        "shm_payload_ratio": shm_ratio,
-        "shm_payload_mb": 2.0,
-        "workers": 2,
-        "shm_payload_p50_us": 700.0,
+    }
+
+
+def kernel_record(kernel_speedup=8.0, fused_speedup=1.8):
+    """A kernel-latency record: two gated metrics in one file."""
+    return {
+        "reps": 200,
+        "batch": 64,
+        "step_s": 0.5,
+        "fast": True,
+        "kernel_speedup": kernel_speedup,
+        "max_equiv_diff": 1e-13,
+        "kernel_p50_us": 20.0,
+        "fused_speedup": fused_speedup,
+        "fused_models": 8,
+        "fused_batch": 256,
+        "fused_diff": 1e-13,
+        "mixed_model_rows_per_s": 500_000.0,
     }
 
 
@@ -42,18 +56,18 @@ def write(tmp_path, name, record):
 
 class TestCheckAll:
     def test_all_shared_metrics_pass(self, gate, tmp_path, capsys):
-        baseline = write(tmp_path, "base.json", fleet_record())
-        current = write(tmp_path, "cur.json", fleet_record(speedup=58.0, shm_ratio=1.7))
+        baseline = write(tmp_path, "base.json", kernel_record())
+        current = write(tmp_path, "cur.json", kernel_record(kernel_speedup=7.5, fused_speedup=1.7))
         rc = gate.main(["--baseline", baseline, "--current", current, "--all"])
         out = capsys.readouterr().out
         assert rc == 0
-        # both fleet-record metrics were gated, each with a verdict row
-        assert "--- speedup ---" in out and "--- shm_payload_ratio ---" in out
+        # both kernel-record metrics were gated, each with a verdict row
+        assert "--- kernel_speedup ---" in out and "--- fused_speedup ---" in out
         assert "benchmark gate passed (all shared metrics)" in out
 
     def test_one_regressed_metric_fails_the_gate(self, gate, tmp_path, capsys):
-        baseline = write(tmp_path, "base.json", fleet_record())
-        current = write(tmp_path, "cur.json", fleet_record(speedup=60.0, shm_ratio=1.0))
+        baseline = write(tmp_path, "base.json", kernel_record())
+        current = write(tmp_path, "cur.json", kernel_record(kernel_speedup=8.0, fused_speedup=1.0))
         rc = gate.main(["--baseline", baseline, "--current", current, "--all"])
         out = capsys.readouterr().out
         assert rc == 1
@@ -63,15 +77,15 @@ class TestCheckAll:
             for line in out.splitlines()
             if len(line.split()) == 2 and line.split()[1] in ("ok", "FAIL")
         )
-        assert rows == {"speedup": "ok", "shm_payload_ratio": "FAIL"}
+        assert rows == {"kernel_speedup": "ok", "fused_speedup": "FAIL"}
 
     def test_verdict_table_lists_every_metric(self, gate, tmp_path, capsys):
-        baseline = write(tmp_path, "base.json", fleet_record())
-        current = write(tmp_path, "cur.json", fleet_record())
+        baseline = write(tmp_path, "base.json", kernel_record())
+        current = write(tmp_path, "cur.json", kernel_record())
         gate.main(["--baseline", baseline, "--current", current, "--all"])
         out = capsys.readouterr().out
         table = out[out.index("metric") :]
-        assert "speedup" in table and "shm_payload_ratio" in table
+        assert "kernel_speedup" in table and "fused_speedup" in table
 
     def test_no_shared_metric_is_an_error(self, gate, tmp_path, capsys):
         baseline = write(tmp_path, "base.json", fleet_record())

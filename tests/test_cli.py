@@ -32,6 +32,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--dataset", "nasa", "--out", "x.npz"])
 
+    @pytest.mark.parametrize("command", ["serve-sim", "serve"])
+    def test_shm_worker_transport_rejected(self, command, capsys):
+        parser = build_parser()
+        assert parser.parse_args([command, "m.npz", "--worker-transport", "pipe"]).worker_transport == "pipe"
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "m.npz", "--worker-transport", "shm"])
+        assert "invalid choice: 'shm'" in capsys.readouterr().err
+
     def test_train_defaults(self):
         args = build_parser().parse_args(["train", "--out", "m.npz"])
         assert args.dataset == "sandia"

@@ -3,8 +3,13 @@
 import io
 import pickle
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TwoBranchSoCNet, model_rollout
 from repro.serve import FleetEngine, ProcessShardWorker, generate_fleet
@@ -26,6 +31,47 @@ def model():
 @pytest.fixture(scope="module")
 def small_fleet():
     return generate_fleet(12, seed=7, **FAST_FLEET)
+
+
+def v2_body(kind, meta, arrays) -> bytes:
+    """One encoded v2 frame body (the length prefix stripped)."""
+    return b"".join(bytes(chunk) for chunk in wire.encode_v2(kind, meta, arrays))[4:]
+
+
+def v2_body_with_meta(info, n_arrays: int, payload: bytes = b"") -> bytes:
+    """A hand-built v2 body around an arbitrary meta block."""
+    meta_b = json.dumps(info).encode("utf-8")
+    return struct.pack(">BBIH", wire.V2_MAGIC, 2, len(meta_b), n_arrays) + meta_b + payload
+
+
+def one_array(dtype, shape) -> dict:
+    """Meta for a one-array frame with the given (possibly bad) spec."""
+    return {"kind": "x", "meta": {}, "arrays": [{"dtype": dtype, "shape": shape}]}
+
+
+VALID_BODY = v2_body(
+    "estimate",
+    {"n": 3, "now_s": None},
+    [wire.encode_str_list(["a", "bb", "c"]), np.arange(3.0), np.arange(3, dtype=np.float32)],
+)
+META_END = 8 + struct.unpack_from(">I", VALID_BODY, 2)[0]
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8)
+SPEC_DTYPES = ["<f8", "<f4", "|u1", "<i8", "|b1", ">f8", "<c16", "|S0", "<U2"]
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+
+
+def decodes_or_value_error(body: bytes) -> None:
+    """The decoder's contract: a :class:`V2Frame`, or a ``ValueError``."""
+    try:
+        frame = wire.decode_body(body)
+    except ValueError:
+        return
+    assert isinstance(frame, wire.V2Frame)
 
 
 def roundtrip_v2(kind, meta, arrays):
@@ -101,6 +147,103 @@ class TestFrameCodec:
             wire.read_frame(buf)
 
 
+class TestMalformedFrames:
+    """Every malformed v2 body is a ``ValueError``: over a socket anything
+    else would escape the worker's serve loop as a traceback."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"",  # empty
+            bytes([wire.V2_MAGIC]),  # magic only
+            VALID_BODY[:7],  # shorter than the 8-byte header
+            VALID_BODY[: META_END - 1],  # meta block cut short
+            VALID_BODY[:-1],  # last payload cut short
+            VALID_BODY + b"\x00",  # bytes beyond the declared payloads
+        ],
+        ids=["empty", "magic-only", "short-header", "short-meta", "short-payload", "trailing"],
+    )
+    def test_truncated_or_padded_bodies(self, body):
+        with pytest.raises(ValueError):
+            wire.decode_body(body)
+
+    @pytest.mark.parametrize(
+        "info, n_arrays, payload",
+        [
+            pytest.param({"kind": "x", "meta": {}}, 0, b"", id="no-arrays"),
+            pytest.param([1, 2, 3], 0, b"", id="meta-not-object"),
+            pytest.param({"kind": 7, "meta": {}, "arrays": []}, 0, b"", id="kind-not-str"),
+            pytest.param({"kind": "x", "meta": [], "arrays": []}, 0, b"", id="meta-field-not-object"),
+            pytest.param({"kind": "x", "meta": {}, "arrays": []}, 3, b"", id="count-mismatch"),
+            pytest.param(one_array("<f8", [-1]), 1, bytes(64), id="negative-dim"),
+            pytest.param(one_array("<f8", [4]), 1, bytes(8), id="payload-short"),
+            pytest.param(one_array("<f8", [1]), 1, bytes(16), id="payload-long"),
+            pytest.param(one_array("<f8", [True]), 1, bytes(8), id="bool-dim"),
+            pytest.param(one_array("<f8", 3), 1, bytes(24), id="shape-not-list"),
+            pytest.param(one_array("<f8", [0, 1 << 40]), 1, b"", id="zero-size-huge-dim"),
+            pytest.param(one_array("|O8", [1]), 1, bytes(8), id="object-dtype"),
+            pytest.param(one_array("f8,(", [1]), 1, bytes(8), id="unparsable-dtype"),
+            pytest.param({"kind": "x", "meta": {}, "arrays": ["<f8"]}, 1, bytes(8), id="spec-not-object"),
+        ],
+    )
+    def test_bad_meta_is_a_value_error(self, info, n_arrays, payload):
+        with pytest.raises(ValueError):
+            wire.decode_body(v2_body_with_meta(info, n_arrays, payload))
+
+    def test_non_utf8_and_deeply_nested_meta(self):
+        head = struct.pack(">BBIH", wire.V2_MAGIC, 2, 2, 0)
+        with pytest.raises(ValueError):
+            wire.decode_body(head + b"\xff\xfe")
+        deep = b"[" * 100_000 + b"]" * 100_000
+        with pytest.raises(ValueError):
+            wire.decode_body(struct.pack(">BBIH", wire.V2_MAGIC, 2, len(deep), 0) + deep)
+
+    def test_truncation_at_every_offset(self):
+        for cut in range(len(VALID_BODY)):
+            with pytest.raises(ValueError):
+                wire.decode_body(VALID_BODY[:cut])
+        assert isinstance(wire.decode_body(VALID_BODY), wire.V2Frame)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_header_and_meta_bytes(self, data):
+        """Flip header and meta bytes (the magic byte stays, so the body
+        keeps dispatching to the v2 decoder) and truncate anywhere."""
+        body = bytearray(VALID_BODY)
+        positions = st.integers(min_value=1, max_value=META_END - 1)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            body[data.draw(positions)] = data.draw(st.integers(min_value=0, max_value=255))
+        cut = data.draw(st.integers(min_value=0, max_value=len(body)))
+        decodes_or_value_error(bytes(body[:cut]))
+        decodes_or_value_error(bytes(body))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        info=st.recursive(JSON_SCALARS, json_containers, max_leaves=16),
+        n_arrays=st.integers(min_value=0, max_value=3),
+        payload=st.binary(max_size=64),
+    )
+    def test_arbitrary_json_meta(self, info, n_arrays, payload):
+        decodes_or_value_error(v2_body_with_meta(info, n_arrays, payload))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        specs=st.lists(
+            st.fixed_dictionaries(
+                {
+                    "dtype": st.sampled_from(SPEC_DTYPES),
+                    "shape": st.lists(st.integers(min_value=-2, max_value=6), max_size=3),
+                }
+            ),
+            max_size=3,
+        ),
+        payload=st.binary(max_size=128),
+    )
+    def test_arbitrary_array_specs(self, specs, payload):
+        info = {"kind": "x", "meta": {}, "arrays": specs}
+        decodes_or_value_error(v2_body_with_meta(info, len(specs), payload))
+
+
 class TestDtypeFidelity:
     """float32 payloads must cross the wire without a float64 upcast."""
 
@@ -143,44 +286,6 @@ class TestDtypeFidelity:
             pred = worker.predict(ids, i, t, 60.0)
             assert pred.dtype == np.float32
             np.testing.assert_array_equal(pred, local.predict(ids, i, t, 60.0))
-
-
-class TestShmRefs:
-    """The shm-ref variant of the v2 codec (payloads ride a slab ring)."""
-
-    @pytest.fixture()
-    def ring(self, tmp_path):
-        from repro.serve.transport import ShmRing
-
-        ring = ShmRing(str(tmp_path / "ring"), slots=4, slab_bytes=4096, create=True)
-        yield ring
-        ring.close(unlink=True)
-
-    def test_roundtrip_preserves_dtype_and_bytes(self, ring):
-        rng = np.random.default_rng(7)
-        arrays = [
-            rng.standard_normal(257),
-            rng.standard_normal(33).astype(np.float32),
-            np.arange(7, dtype=np.int64),
-            np.empty(0),
-        ]
-        chunks = wire.encode_v2_shm("estimate", {"n": 257}, arrays, ring)
-        assert chunks is not None
-        frame = wire.decode_body(b"".join(chunks)[4:], shm=ring)
-        assert isinstance(frame, wire.V2Frame) and frame.kind == "estimate"
-        for got, sent in zip(frame.arrays, arrays):
-            assert got.dtype == sent.dtype and got.shape == sent.shape
-            assert got.tobytes() == sent.tobytes()
-            assert not got.flags.writeable
-
-    def test_decode_without_ring_raises(self, ring):
-        chunks = wire.encode_v2_shm("x", {}, [np.arange(4.0)], ring)
-        with pytest.raises(ValueError, match="no ring"):
-            wire.decode_body(b"".join(chunks)[4:])
-
-    def test_oversized_payload_reports_none_for_inline_fallback(self, ring):
-        big = np.zeros(4 * 4096)  # larger than the whole ring
-        assert wire.encode_v2_shm("x", {}, [big], ring) is None
 
 
 class TestRolloutCodec:

@@ -1,7 +1,5 @@
 """Tests for subprocess shard workers (:mod:`repro.serve.workers`)."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -248,84 +246,6 @@ class TestShardedFleetProcessWorkers:
             np.testing.assert_array_equal(resumed[cell_id].soc_pred, ref[cell_id].soc_pred)
         exit_codes = [worker.close() for worker in workers]
         assert exit_codes == [0, 0]
-
-
-# ----------------------------------------------------------------------
-class TestShmWorkers:
-    """The ``shm://`` scheme: same subprocess, payloads ride slab rings."""
-
-    def test_shm_worker_matches_pipe_worker_everywhere(self, model, small_fleet):
-        ids = [f"c{k}" for k in range(64)]
-        rng = np.random.default_rng(3)
-        v = rng.uniform(2.8, 4.2, 64)
-        i = rng.uniform(-5, 5, 64)
-        t = rng.uniform(0, 45, 64)
-        with ProcessShardWorker(default_model=model, name="pipe") as pipe_worker:
-            with ProcessShardWorker(default_model=model, name="shm", shm=True) as shm_worker:
-                for cid in ids:
-                    pipe_worker.register_cell(cid)
-                    shm_worker.register_cell(cid)
-                np.testing.assert_array_equal(
-                    shm_worker.estimate(ids, v, i, t), pipe_worker.estimate(ids, v, i, t)
-                )
-                np.testing.assert_array_equal(
-                    shm_worker.predict(ids, i, t, 60.0), pipe_worker.predict(ids, i, t, 60.0)
-                )
-                got = shm_worker.rollout_fleet(small_fleet.assignments(), 120.0)
-                ref = pipe_worker.rollout_fleet(small_fleet.assignments(), 120.0)
-                for cell_id, _ in small_fleet.assignments():
-                    np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
-
-    def test_ring_files_are_created_and_cleaned_up(self, model):
-        from repro.serve.transport import shm_ring_dir
-
-        worker = ProcessShardWorker(default_model=model, name="rings", shm=True)
-        rings = worker._rings
-        assert rings is not None and all(os.path.exists(ring.path) for ring in rings)
-        assert all(ring.path.startswith(shm_ring_dir()) for ring in rings)
-        worker.close()
-        assert all(not os.path.exists(ring.path) for ring in rings)
-
-    def test_restart_swaps_in_fresh_rings(self, model):
-        worker = ProcessShardWorker(default_model=model, name="reborn", shm=True)
-        worker.register_cell("a")
-        before = worker.estimate(["a"], 3.7, 1.0, 25.0)
-        old_paths = [ring.path for ring in worker._rings]
-        worker._proc.kill()
-        worker._proc.wait()
-        worker.restart()
-        worker.register_cell("a")
-        assert all(not os.path.exists(path) for path in old_paths)  # dead rings unlinked
-        assert [ring.path for ring in worker._rings] != old_paths
-        np.testing.assert_array_equal(worker.estimate(["a"], 3.7, 1.0, 25.0), before)
-        worker.close()
-
-    def test_undersized_ring_falls_back_to_inline_frames(self, model):
-        ids = [f"c{k}" for k in range(256)]
-        with ProcessShardWorker(default_model=model, name="tiny") as ref_worker:
-            with ProcessShardWorker(
-                default_model=model, name="tiny-shm", shm=True, shm_slots=1, shm_slab_bytes=256
-            ) as shm_worker:
-                for cid in ids:
-                    ref_worker.register_cell(cid)
-                    shm_worker.register_cell(cid)
-                v = np.linspace(3.0, 4.1, 256)
-                np.testing.assert_array_equal(
-                    shm_worker.estimate(ids, v, 1.0, 25.0), ref_worker.estimate(ids, v, 1.0, 25.0)
-                )
-
-    def test_sharded_fleet_over_shm_spec(self, model):
-        ids = [f"c{k}" for k in range(24)]
-        single = FleetEngine(default_model=model)
-        sharded = ShardedFleet(2, spec=WorkerSpec(url="shm://", model=model, name="shm{shard}"))
-        with sharded:
-            for cid in ids:
-                single.register_cell(cid)
-                sharded.register_cell(cid)
-            v = np.linspace(3.2, 4.0, len(ids))
-            out = sharded.estimate(ids, v, 1.0, 25.0)
-            np.testing.assert_allclose(out, single.estimate(ids, v, 1.0, 25.0), atol=1e-9, rtol=0)
-            assert sorted(sharded.worker_health()) == [True, True]
 
 
 # ----------------------------------------------------------------------
