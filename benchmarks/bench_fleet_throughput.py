@@ -11,7 +11,7 @@ through the autoregressive paths:
 - **sharded** (``--shards N``) — the same fleet fanned across a
   :class:`repro.serve.ShardedFleet`;
 - **process** (``--workers N``) — the same fleet fanned across
-  :class:`repro.serve.ProcessShardWorker` subprocesses (real OS
+  ``pipe://`` :class:`repro.serve.ShardWorker` subprocesses (real OS
   processes behind the sharded-fleet interface).
 
 All paths must agree to 1e-9 on every trajectory (they share the

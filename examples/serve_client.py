@@ -10,7 +10,9 @@ This is the multi-host serving loop in one file:
 4. grow the fleet by registering one more worker at runtime;
 5. read the health/stats a dashboard would scrape.
 
-In production the daemon runs standalone::
+In production the daemon runs standalone (the control channel is
+unauthenticated pickle: bind ``tcp://0.0.0.0`` only on a trusted
+network)::
 
     repro-soc serve model.npz --listen tcp://0.0.0.0:7355 \
         --workers 2 --worker-transport tcp --journal fleet.journal
@@ -27,7 +29,7 @@ Run:  python examples/serve_client.py
 import numpy as np
 
 from repro.core import TwoBranchSoCNet
-from repro.serve import ShardedFleet, SocClient, WorkerSpec
+from repro.serve import ShardedFleet, ShardWorker, SocClient, WorkerSpec
 from repro.serve.daemon import SocDaemon
 
 
@@ -64,11 +66,7 @@ def main() -> None:
             #    (here we cheat and spawn locally; across hosts you'd
             #    start `repro-soc worker --listen tcp://0.0.0.0:7456`
             #    on the new machine and register that address).
-            from repro.serve import RemoteShardWorker
-
-            spare = RemoteShardWorker(
-                "tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare"
-            )
+            spare = ShardWorker("tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare")
             spare._drop_link()  # free the listener: the daemon dials it
             index = client.add_worker(spare.url)
             print(f"worker {spare.url} joined as shard {index}")

@@ -60,6 +60,8 @@ Usage examples::
     repro-soc serve-sim model.npz --cells 100000 --shards 8 --journal fleet.journal
     repro-soc serve-sim --untrained --async --workers 2 --cells 96 --fast \\
         --clients 64 --requests 8000 --soak-json soak.json --fail-on-error
+    # tcp://0.0.0.0 binds every interface; the control channel is
+    # unauthenticated pickle, so it must only face a trusted network
     repro-soc serve model.npz --listen tcp://0.0.0.0:7355 --workers 2 \\
         --worker-transport tcp --journal fleet.journal --archive-dir ./cold \\
         --metrics-port 9923
@@ -635,11 +637,10 @@ def _report_monitoring(engine, metrics, drift, args) -> int:
     from .monitor import merge_snapshots
 
     snapshots = [metrics.snapshot()]
-    fleet_metrics = getattr(engine, "metrics", None)
-    if callable(fleet_metrics) and getattr(engine, "metrics_registry", None) is not metrics:
+    if args.workers:
         # subprocess workers carry their own registries; in-process
         # shards share the parent registry already snapshotted above
-        snapshots.append(fleet_metrics())
+        snapshots.append(engine.metrics())
     merged = merge_snapshots(snapshots)
     drift_total = sum(
         value for key, value in merged["counters"].items() if key.startswith("drift_events_total")
@@ -711,7 +712,7 @@ def _cmd_serve(args) -> int:
 
     worker_spec = _subprocess_worker_spec(args, model, monitoring=True, tracing=tracing)
     if args.workers:
-        engine = ShardedFleet(args.workers, spec=worker_spec)
+        engine = ShardedFleet(args.workers, spec=worker_spec, registry=registry)
     elif args.shards > 1:
         journal = (
             StateJournal(args.journal, archive=_archive_store(args), max_segment_bytes=_segment_bytes(args))
@@ -724,6 +725,7 @@ def _cmd_serve(args) -> int:
                 model=model, registry=registry, journal=journal, metrics=metrics,
                 drift=drift, dtype=args.dtype,
             ),
+            registry=registry,
         )
     else:
         journal = (
@@ -1017,6 +1019,10 @@ topologies:
 The worker is stateless at startup: the connecting fleet sends the
 engine description (model, registry, journal, archive) in its first
 frame, and the journal restores per-cell state.
+
+security: the control channel is unauthenticated pickle, so whoever
+reaches a --listen port (or poses as the --connect daemon) can run code
+in the worker.  Bind tcp://0.0.0.0 only on a trusted network.
 """
 
 
@@ -1187,7 +1193,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve a deterministic untrained model")
     serve.add_argument("--listen", default="tcp://127.0.0.1:7355",
                        help="control URL clients and inbound workers dial "
-                            "(tcp://host:port, port 0 = ephemeral, or unix:///path)")
+                            "(tcp://host:port, port 0 = ephemeral, or unix:///path); "
+                            "the channel is unauthenticated pickle, so bind tcp://0.0.0.0 "
+                            "only on a trusted network")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--control-interval", type=float, default=1.0,
                        help="seconds between control-plane ticks (heartbeat probes + "
@@ -1205,7 +1213,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = worker.add_argument_group("worker transport")
     g.add_argument("--listen", default=None,
                    help="bind this URL and serve fleets that dial in "
-                        "(tcp://host:port, port 0 = ephemeral, or unix:///path)")
+                        "(tcp://host:port, port 0 = ephemeral, or unix:///path); "
+                        "unauthenticated pickle: trusted networks only")
     g.add_argument("--connect", default=None,
                    help="dial this daemon control URL and serve as one of its shards")
     g.add_argument("--name", default="worker",

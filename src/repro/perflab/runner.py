@@ -59,7 +59,7 @@ def build_topology(cfg: RunConfig, model, metrics: MetricsRegistry):
     if cfg.topology == "inproc":
         return FleetEngine(default_model=model, metrics=metrics)
     if cfg.topology == "shards":
-        return ShardedFleet(cfg.workers, default_model=model, metrics=metrics)
+        return ShardedFleet(cfg.workers, spec=WorkerSpec(model=model, metrics=metrics))
     spec = WorkerSpec(
         url=_URLS[cfg.topology],
         model=model,

@@ -25,9 +25,11 @@ and versioned checkpoint rollout.
   admission control, load shedding, worker-crash retry, and
   registry-backed per-endpoint latency stats;
 - :mod:`repro.serve.workers` — shard workers behind one declarative
-  factory (:class:`WorkerSpec`): :class:`ProcessShardWorker` over
-  stdio pipes (the local fast path), :class:`RemoteShardWorker` over
-  sockets, and the standalone serving loops (``repro-soc worker``);
+  factory (:class:`WorkerSpec`): :class:`ShardWorker`, one client and
+  one lifecycle whose URL picks the launch (``pipe://`` child,
+  spawned or dialed ``tcp://``/``unix://`` listener, or an adopted
+  inbound link), and the standalone serving loops
+  (``repro-soc worker``);
 - :mod:`repro.serve.transport` — :class:`Transport`: the framed
   connection seam under every worker (``pipe://``, ``unix:///path``,
   ``tcp://host:port``), with torn-stream and deadline peer-death
@@ -49,11 +51,11 @@ and versioned checkpoint rollout.
 - :mod:`repro.serve.fleet_sim` — synthetic heterogeneous fleets for
   benchmarks and the ``repro-soc serve-sim`` subcommand.
 
-Inference defaults to the compiled kernel path
+Inference runs on the compiled kernel path
 (:mod:`repro.core.kernels`) — flat weight blocks, fused scalers,
-preallocated GEMM chains — with ``use_kernel=False`` as the Tensor-path
-escape hatch on :class:`FleetEngine`, :class:`ShardedFleet` and
-:class:`ProcessShardWorker`.
+preallocated GEMM chains.  :class:`FleetEngine` alone keeps
+``use_kernel=False``, the Tensor path the kernel checks use as their
+reference.
 
 See ``src/repro/serve/README.md`` for the compiled-kernel
 architecture, gateway architecture, sharding topology, worker wire
@@ -74,7 +76,7 @@ from .registry import ModelEntry, ModelRegistry
 from .scheduler import BatchStats, Completion, MicroBatcher, Request
 from .sharding import ShardedFleet, shard_for
 from .transport import PeerGone, Transport, TransportError, TransportTimeout
-from .workers import ProcessShardWorker, RemoteShardWorker, WorkerCrashError, WorkerSpec
+from .workers import ShardWorker, WorkerCrashError, WorkerSpec
 
 __all__ = [
     "CellState",
@@ -83,8 +85,7 @@ __all__ = [
     "shard_for",
     "SocGateway",
     "GatewayOverloaded",
-    "ProcessShardWorker",
-    "RemoteShardWorker",
+    "ShardWorker",
     "WorkerSpec",
     "WorkerCrashError",
     "Transport",

@@ -17,13 +17,13 @@ the workers), and lets two kinds of peers dial in:
   every other client's;
 - **workers** (``repro-soc worker --connect``): a ``worker_hello``
   frame flips the connection's roles — the daemon wraps the transport
-  in a :class:`~repro.serve.workers.RemoteShardWorker` and the dialer
-  becomes a served shard.  Registration by name makes
-  restart-by-reconnect work: a worker that crashes and dials back in
-  is re-attached to its old shard (journal restore + ``init`` over the
-  new transport), not added as new capacity.  Workers can also be
-  registered *outbound* by URL (``add_worker``) when the daemon can
-  reach them.
+  in a :class:`~repro.serve.workers.ShardWorker` built from its
+  ``worker_spec`` and the dialer becomes a served shard.  Registration
+  by name makes restart-by-reconnect work: a worker that crashes and
+  dials back in is re-attached to its old shard (journal restore +
+  ``init`` over the new transport), not added as new capacity.
+  Workers can also be registered *outbound* by URL (``add_worker``)
+  when the daemon can reach them.
 
 Concurrency: the gateway's batcher lock is the one serialization
 point, exactly as in-process — client handler threads take it for
@@ -44,7 +44,7 @@ import threading
 from ..monitor.autopilot import ControlLoop
 from .gateway import SocGateway
 from .transport import Transport, TransportError, TransportListener, TransportTimeout
-from .workers import RemoteShardWorker, WorkerSpec, _build_model
+from .workers import WorkerSpec, _build_model, _control_op
 
 __all__ = ["SocDaemon", "run_daemon"]
 
@@ -91,9 +91,11 @@ class SocDaemon:
     worker_spec:
         Template :class:`~repro.serve.workers.WorkerSpec` for workers
         that join later (``worker_hello`` or ``add_worker``): model,
-        registry root, journal template, monitor/trace flags.  Without
-        it, inbound workers are rejected and ``add_worker`` needs the
-        fleet's own spec template.
+        registry root, journal template, monitor/trace flags, serving
+        dtype.  Inbound workers are built by
+        :meth:`WorkerSpec.adopt <repro.serve.workers.WorkerSpec.adopt>`.
+        Without it, inbound workers are rejected and ``add_worker``
+        needs the fleet's own spec template.
     max_batch, max_delay_s, max_in_flight, metrics, tracer:
         Passed to the :class:`~repro.serve.gateway.SocGateway`.
     control_interval_s:
@@ -310,31 +312,31 @@ class SocDaemon:
                     break
                 if frame is None:
                     break
-                op, args, kwargs = frame
-                if op == "worker_hello":
-                    # role flip: the dialer is a worker, not a client.
-                    # Reply first (the worker waits for the ack before
-                    # serving), then hand the transport to the fleet.
-                    name = args[0] if args else kwargs.get("name", "worker")
-                    try:
-                        transport.send_pickle(("ok", "attach"))
-                        self._attach_worker(str(name), transport)
-                    except Exception:
-                        break
-                    handed_off = True
-                    return  # the transport now belongs to the shard worker
                 try:
-                    result = self._dispatch(op, args, kwargs)
-                except Exception as exc:
-                    try:
-                        transport.send_pickle(("err", type(exc).__name__, str(exc)))
-                    except TransportError:
-                        break
+                    op, args, kwargs = _control_op(frame)
+                except ValueError as exc:
+                    op, reply = None, ("err", "ValueError", str(exc))
                 else:
+                    if op == "worker_hello":
+                        # role flip: the dialer is a worker, not a client.
+                        # Reply first (the worker waits for the ack before
+                        # serving), then hand the transport to the fleet.
+                        name = args[0] if args else kwargs.get("name", "worker")
+                        try:
+                            transport.send_pickle(("ok", "attach"))
+                            self._attach_worker(str(name), transport)
+                        except Exception:
+                            break
+                        handed_off = True
+                        return  # the transport now belongs to the shard worker
                     try:
-                        transport.send_pickle(("ok", result))
-                    except TransportError:
-                        break
+                        reply = ("ok", self._dispatch(op, args, kwargs))
+                    except Exception as exc:
+                        reply = ("err", type(exc).__name__, str(exc))
+                try:
+                    transport.send_pickle(reply)
+                except TransportError:
+                    break
                 if op == "shutdown":
                     threading.Thread(target=self.stop, daemon=True).start()
                     break
@@ -356,31 +358,7 @@ class SocDaemon:
             adopt = getattr(self.engine, "adopt_worker", None)
             if adopt is None:
                 raise RuntimeError("engine does not accept workers (not a ShardedFleet)")
-            worker = RemoteShardWorker.from_transport(
-                transport,
-                name=name,
-                default_model=spec.model,
-                registry_root=(
-                    spec.registry.root if hasattr(spec.registry, "root") else spec.registry
-                ),
-                journal_path=self._join_journal_path(name),
-                use_kernel=spec.use_kernel,
-                monitor=spec.monitor,
-                trace=spec.trace,
-                archive_root=spec.archive_root,
-                journal_segment_bytes=spec.journal_segment_bytes,
-                drift_from_registry=spec.drift_from_registry,
-            )
-            adopt(worker)
-
-    def _join_journal_path(self, name: str) -> str | None:
-        journal = None if self.worker_spec is None else self.worker_spec.journal
-        if journal is None:
-            return None
-        template = str(journal)
-        if "{shard}" in template:
-            return template.format(shard=name)
-        return f"{template}.{name}"
+            adopt(spec.adopt(transport, name))
 
     def _dispatch(self, op: str, args: tuple, kwargs: dict):
         """One client op; engine mutations go under the batcher lock."""
@@ -419,7 +397,7 @@ class SocDaemon:
                     raise RuntimeError("engine does not accept workers (not a ShardedFleet)")
                 spec = args[0]
                 if isinstance(spec, str) and self.worker_spec is not None:
-                    spec = _respec(self.worker_spec, spec)
+                    spec = dataclasses.replace(self.worker_spec, url=spec, spawn=False)
                 return int(add(spec))
         if op == "shutdown":
             return "stopping"
@@ -498,10 +476,6 @@ class SocDaemon:
         if controller is not None and controller.active:
             return int(getattr(controller, op)())
         return int(getattr(self._registry(), op)(name))
-
-
-def _respec(template: WorkerSpec, url: str) -> WorkerSpec:
-    return dataclasses.replace(template, url=url, spawn=False)
 
 
 def run_daemon(daemon: SocDaemon, announce=print) -> int:

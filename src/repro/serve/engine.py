@@ -103,8 +103,10 @@ class FleetEngine:
         every forward through the original autograd ``Tensor`` path
         instead — the kernels carry a golden-equivalence guarantee
         (1e-9 across batch sizes, branches and the cascade; see
-        ``tests/test_core_kernels.py``), so this is for debugging and
-        A/B timing, not correctness.  Kernels snapshot a model's
+        ``tests/test_core_kernels.py``), so the Tensor path is the
+        reference those checks compare against; no serving layer above
+        the engine (shards, workers, the daemon) exposes it.  Kernels
+        snapshot a model's
         weights at first use and are recompiled automatically when a
         model *object* is replaced (e.g. a registry promote); mutating
         weights in place on a live engine requires a new engine or
@@ -729,8 +731,8 @@ class FleetEngine:
 
         The uniform readout surface across worker kinds: in-process
         engines answer directly,
-        :class:`~repro.serve.workers.ProcessShardWorker` forwards the
-        call over the wire, and
+        :class:`~repro.serve.workers.ShardWorker` forwards the call
+        over the wire, and
         :meth:`ShardedFleet.metrics <repro.serve.sharding.ShardedFleet.metrics>`
         merges the whole topology.
         """

@@ -41,11 +41,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..core.model import TwoBranchSoCNet
 from ..core.rollout import RolloutResult
 from ..datasets.base import CycleRecord
 from ..monitor.tracing import stage
@@ -53,10 +52,6 @@ from .engine import CellState, FleetEngine
 from .persistence import StateJournal
 from .registry import ModelRegistry
 from .workers import WorkerCrashError, WorkerSpec
-
-if TYPE_CHECKING:
-    from ..monitor.drift import DriftMonitor
-    from ..monitor.metrics import MetricsRegistry
 
 __all__ = ["ShardedFleet", "shard_for"]
 
@@ -90,79 +85,44 @@ class ShardedFleet:
     Parameters
     ----------
     n_shards:
-        Number of shard workers (each a :class:`FleetEngine` by
-        default).
+        Number of shard workers.
     spec:
         A :class:`~repro.serve.workers.WorkerSpec` (one template for
         every shard) or a sequence of them (per-shard; growth beyond
         the sequence reuses its last entry).  The spec carries the
         whole worker description — transport URL, model, registry,
-        journal template, monitor/trace flags — so it replaces the
-        ``default_model``/``journal``/``metrics``/``drift`` kwargs,
-        which cannot be combined with it.
-    default_model, registry:
-        Passed to every in-process shard engine (shards share the
-        registry's model cache, so a checkpoint is materialized once).
-        With a ``spec``, ``registry`` may still be given: workers open
-        their own copy of the same registry *root*, and the parent-side
-        instance is what fleet-level tooling
-        (:class:`~repro.serve.canary.CanaryController`, the autopilot)
-        publishes and promotes through — workers follow via the shared
-        ``channels.json``.
-    journal:
-        Optional shared :class:`StateJournal` for the whole fleet
-        (in-process workers only — process/socket workers own their
-        durability, e.g. one journal per worker process, declared via
-        ``WorkerSpec.journal``).
-    use_kernel:
-        Passed to every in-process shard engine: serve through compiled
-        inference kernels (default) or the Tensor path (see
-        :class:`FleetEngine`).  Ignored when ``spec`` is given — specs
-        carry their own ``use_kernel``.
-    metrics, drift:
-        Optional :class:`~repro.monitor.metrics.MetricsRegistry` /
-        :class:`~repro.monitor.drift.DriftMonitor` shared by every
-        in-process shard engine (one registry, one detector bank —
-        cell ids are fleet-unique, so shards cannot collide).  With a
-        ``spec``, declare monitoring there instead (``monitor=True``);
-        worker snapshots merge in :meth:`metrics`.
+        journal, monitor/trace flags.  In-process shards (``url=None``)
+        share the spec's :class:`StateJournal`, metrics registry and
+        drift monitor instances (one of each — cell ids are
+        fleet-unique, so shards cannot collide).  Without a spec every
+        shard is an in-process :class:`FleetEngine` serving from
+        ``registry``.
+    registry:
+        The parent-side :class:`~repro.serve.registry.ModelRegistry`
+        fleet-level tooling (:class:`~repro.serve.canary.CanaryController`,
+        the autopilot) publishes and promotes through.  Worker processes
+        open their own copy of the same registry *root* from the spec and
+        follow via the shared ``channels.json``; in-process shards given
+        the same instance share its model cache, so a checkpoint is
+        materialized once.
     """
 
     def __init__(
         self,
         n_shards: int,
-        default_model: TwoBranchSoCNet | None = None,
-        registry: ModelRegistry | None = None,
-        journal: StateJournal | None = None,
-        use_kernel: bool = True,
-        metrics: MetricsRegistry | None = None,
-        drift: DriftMonitor | None = None,
         spec: WorkerSpec | Sequence[WorkerSpec] | None = None,
+        registry: ModelRegistry | None = None,
     ):
         if n_shards < 1:
             raise ValueError("need at least one shard")
-        self._specs: list[WorkerSpec] | None = None
-        if spec is not None:
-            if default_model is not None or journal is not None or metrics is not None or drift is not None:
-                raise ValueError(
-                    "spec carries the worker description; drop the "
-                    "default_model/journal/metrics/drift kwargs"
-                )
-            self._specs = [spec] if isinstance(spec, WorkerSpec) else list(spec)
-            if not self._specs:
-                raise ValueError("spec sequence cannot be empty")
-            self._check_spec_addresses(n_shards)
-            journal = next(
-                (s.journal for s in self._specs if isinstance(s.journal, StateJournal)), None
-            )
-        self._default_model = default_model
+        if spec is None:
+            spec = WorkerSpec(registry=registry)
+        self._specs = [spec] if isinstance(spec, WorkerSpec) else list(spec)
+        if not self._specs:
+            raise ValueError("spec sequence cannot be empty")
+        self._check_spec_addresses(n_shards)
         self.registry = registry
-        self.journal = journal
-        self.use_kernel = use_kernel
-        # named metrics_registry (not .metrics) because .metrics() is the
-        # topology-wide snapshot method — mirroring ISSUE/API naming
-        self.metrics_registry = metrics
-        self.drift = drift
+        self.journal = next((s.journal for s in self._specs if isinstance(s.journal, StateJournal)), None)
         self._shards = [self._new_worker(k) for k in range(n_shards)]
 
     @classmethod
@@ -170,30 +130,22 @@ class ShardedFleet:
         cls,
         journal: StateJournal,
         n_shards: int,
-        default_model: TwoBranchSoCNet | None = None,
+        spec: WorkerSpec | None = None,
         registry: ModelRegistry | None = None,
-        use_kernel: bool = True,
-        metrics: MetricsRegistry | None = None,
-        drift: DriftMonitor | None = None,
     ) -> ShardedFleet:
-        """Rebuild a sharded fleet from a journal after a restart.
+        """Rebuild a sharded fleet of in-process shards from a journal.
 
-        Ownership is recomputed from the cell ids, so the journal needs
-        no shard map — restoring at a *different* ``n_shards`` than the
-        crashed process ran is valid and simply re-places the cells.
-        (Resuming a rollout at the same shard count is bit-for-bit
-        exact; a different count re-partitions the batches, which can
-        shift trajectories by BLAS rounding ~1e-17.)
+        ``spec`` describes the shard engines as for the constructor; its
+        journal is replaced by ``journal``.  Ownership is recomputed
+        from the cell ids, so the journal needs no shard map —
+        restoring at a *different* ``n_shards`` than the crashed process
+        ran is valid and simply re-places the cells.  (Resuming a
+        rollout at the same shard count is bit-for-bit exact; a
+        different count re-partitions the batches, which can shift
+        trajectories by BLAS rounding ~1e-17.)
         """
-        fleet = cls(
-            n_shards,
-            default_model=default_model,
-            registry=registry,
-            journal=journal,
-            use_kernel=use_kernel,
-            metrics=metrics,
-            drift=drift,
-        )
+        spec = dataclasses.replace(spec or WorkerSpec(registry=registry), journal=journal)
+        fleet = cls(n_shards, spec=spec, registry=registry)
         for state in journal.snapshot().cells.values():
             shard = shard_for(state.cell_id, n_shards)
             fleet._shards[shard]._adopt_state(dataclasses.replace(state))
@@ -356,7 +308,7 @@ class ShardedFleet:
         only the remainder (see
         :meth:`FleetEngine.resume_rollout_fleet`); the shard count may
         differ from the run that crashed.  Durable spec-declared workers
-        (e.g. journaled :class:`~repro.serve.workers.ProcessShardWorker`)
+        (journaled :class:`~repro.serve.workers.ShardWorker` processes)
         resume from their own per-worker journals instead of a shared
         one.
         """
@@ -374,8 +326,8 @@ class ShardedFleet:
 
         The recovery half of gateway retry (and the
         :class:`~repro.monitor.autopilot.ControlLoop` health tick):
-        journaled :class:`~repro.serve.workers.ProcessShardWorker`
-        children restore their cells and in-flight rollout progress
+        journaled :class:`~repro.serve.workers.ShardWorker`
+        processes restore their cells and in-flight rollout progress
         from their journals, so requests retried after this call land
         on a fleet that looks exactly like the one that crashed.
         In-process engines cannot die, so this is a no-op for them.
@@ -400,15 +352,14 @@ class ShardedFleet:
         """Actively probe every shard worker; returns liveness per shard.
 
         :meth:`worker_health` is the cached view (cheap, but a
-        silently-dead *remote* peer stays green until a call fails);
-        this one sends each probe-capable worker a deadline-bounded
-        ping (:meth:`RemoteShardWorker.check_alive
-        <repro.serve.workers.RemoteShardWorker.check_alive>`), marking
+        silently-dead or hung peer stays green until a call fails);
+        this one sends every :class:`~repro.serve.workers.ShardWorker`,
+        pipe or socket, a deadline-bounded ping
+        (:meth:`~repro.serve.workers.ShardWorker.check_alive`), marking
         unresponsive workers dead so :meth:`restart_dead_workers` can
-        heal them.  Workers without a probe (in-process engines,
-        pipe-backed children whose death ``waitpid`` already sees)
-        report their cached liveness.  Callers serialize this against
-        traffic — probes share the request channel.
+        heal them.  In-process engines have no probe and report their
+        cached liveness.  Callers serialize this against traffic —
+        probes share the request channel.
         """
         health: list[bool] = []
         for shard in self._shards:
@@ -430,11 +381,9 @@ class ShardedFleet:
         cells onto the new shard, live state intact.
         """
         if isinstance(spec, str):
-            template = self._spec_for(len(self._shards))
-            spec = dataclasses.replace(template, url=spec, spawn=False)
+            spec = dataclasses.replace(self._spec_at(len(self._shards)), url=spec, spawn=False)
         worker = spec.resolve(len(self._shards))
-        if self._specs is not None:
-            self._specs.append(spec)
+        self._specs.append(spec)
         return self.adopt_worker(worker)
 
     def adopt_worker(self, worker) -> int:
@@ -442,8 +391,9 @@ class ShardedFleet:
 
         The inbound-registration half of the serve daemon: a worker
         that dialed in (``repro-soc worker --connect``) arrives as a
-        live :class:`~repro.serve.workers.RemoteShardWorker`, not a
-        spec to resolve.  Cells the new shard now wins migrate in with
+        live :class:`~repro.serve.workers.ShardWorker` (built by
+        :meth:`WorkerSpec.adopt <repro.serve.workers.WorkerSpec.adopt>`),
+        not a spec to resolve.  Cells the new shard now wins migrate in with
         their state (the same move :meth:`rebalance` performs).
         """
         self._shards.append(worker)
@@ -460,8 +410,8 @@ class ShardedFleet:
         """Re-home a returning ``--connect`` worker onto its old shard.
 
         Matches a *dead* shard worker by ``name`` and hands it the
-        fresh transport (:meth:`RemoteShardWorker.attach
-        <repro.serve.workers.RemoteShardWorker.attach>`): the worker
+        fresh transport (:meth:`ShardWorker.attach
+        <repro.serve.workers.ShardWorker.attach>`): the worker
         re-inits, restores from its journal, and the shard heals in
         place — no rebalance, no lost cells.  Returns the shard index,
         or ``None`` when no dead worker carries that name (the caller
@@ -555,25 +505,10 @@ class ShardedFleet:
 
     # ------------------------------------------------------------------
     def _new_worker(self, index: int):
-        return self._spec_for(index).resolve(index)
+        return self._spec_at(index).resolve(index)
 
-    def _spec_for(self, index: int) -> WorkerSpec:
-        """The :class:`WorkerSpec` governing shard ``index``.
-
-        Legacy kwargs are folded into an in-process spec, so there is
-        exactly one construction path whatever the API vintage.
-        """
-        if self._specs is not None:
-            return self._specs[min(index, len(self._specs) - 1)]
-        return WorkerSpec(
-            url=None,
-            model=self._default_model,
-            registry=self.registry,
-            journal=self.journal,
-            use_kernel=self.use_kernel,
-            metrics=self.metrics_registry,
-            drift=self.drift,
-        )
+    def _spec_at(self, index: int) -> WorkerSpec:
+        return self._specs[min(index, len(self._specs) - 1)]
 
     def _check_spec_addresses(self, n_shards: int) -> None:
         """Reject socket topologies where shards would share one endpoint.
@@ -586,7 +521,7 @@ class ShardedFleet:
         """
         fixed: set[str] = set()
         for index in range(n_shards):
-            s = self._specs[min(index, len(self._specs) - 1)]
+            s = self._spec_at(index)
             if s.url is None or s.spawn or "{shard}" in s.url or s.scheme == "pipe":
                 continue
             if s.url in fixed:

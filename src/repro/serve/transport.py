@@ -4,9 +4,8 @@ Until this module existed the shard-worker wire protocol
 (:mod:`repro.serve.wire`) only ever ran over one medium — the
 stdin/stdout pipes of a child the parent had just spawned — and the
 plumbing (stream handles, frame reads, broken-pipe handling, exit-code
-crash detection) was inlined in
-:class:`~repro.serve.workers.ProcessShardWorker`.  That works for one
-machine; a fleet spanning hosts needs the same frames over real
+crash detection) was inlined in the pipe worker client.  That works for
+one machine; a fleet spanning hosts needs the same frames over real
 sockets, and a transport the parent did not spawn cannot be declared
 dead by ``waitpid``.
 
@@ -17,7 +16,7 @@ frames and v2 zero-copy bulk frames, byte-identical to the pipe
 protocol) over any medium, addressed by URL:
 
 - ``pipe://``            — parent<->child stdio pipes (the local fast
-  path; spawn semantics stay with the worker classes);
+  path; spawn semantics stay with :class:`~repro.serve.workers.ShardWorker`);
 - ``unix:///path/sock``  — a Unix-domain socket (same-host daemons);
 - ``tcp://host:port``    — a TCP socket (multi-host fleets; Nagle is
   disabled so micro-batched request frames are not coalesced against
@@ -269,11 +268,11 @@ class Transport:
 class PipeTransport(Transport):
     """The frame stream over a pair of OS pipes (or any binary streams).
 
-    The local fast path: exactly the plumbing
-    :class:`~repro.serve.workers.ProcessShardWorker` always used, now
-    behind the :class:`Transport` surface.  Receive deadlines are
-    honored via ``select`` on the read end when it is a real pipe;
-    in-memory streams (tests) skip the poll.
+    The local fast path: a ``pipe://``
+    :class:`~repro.serve.workers.ShardWorker` talks to its child over
+    these.  Receive deadlines are honored via ``select`` on the read
+    end when it is a real pipe; in-memory streams (tests) skip the
+    poll.
     """
 
     def __init__(self, write_stream, read_stream, peer: str = "pipe"):
@@ -322,7 +321,10 @@ class _DeadlineReader:
 
     ``read`` blocks at most until the deadline; hitting it raises
     ``TimeoutError``, which :meth:`Transport.recv_frame` maps to
-    :class:`TransportTimeout`.  Streams without a file descriptor
+    :class:`TransportTimeout`.  Each call returns at most one chunk
+    (``read1``) after its own ``select``, so a frame read in a loop
+    (:func:`repro.serve.wire.read_exact`) stays under the deadline even
+    when the peer stalls mid-frame.  Streams without a file descriptor
     (BytesIO in tests) cannot block, so they read straight through.
     """
 
@@ -335,12 +337,15 @@ class _DeadlineReader:
             self._fd = None
 
     def read(self, n: int) -> bytes:
+        if self._fd is None:
+            return self._stream.read(n)
         # buffered read-ahead first: select() only sees the fd
-        if self._fd is not None and not _buffered_ready(self._stream, self._fd):
+        if not _buffered_ready(self._stream, self._fd):
             remaining = self._deadline_s - time.monotonic()
             if remaining <= 0 or not _fd_readable(self._fd, remaining):
                 raise TimeoutError("pipe read deadline expired")
-        return self._stream.read(n)
+        # read1: at most one raw read, never a wait for all n bytes
+        return getattr(self._stream, "read1", self._stream.read)(n)
 
 
 def _fd_readable(fd: int, timeout_s: float | None) -> bool:

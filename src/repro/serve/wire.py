@@ -1,6 +1,6 @@
 """Worker wire codec: length-prefixed frames, pickle (v1) and zero-copy (v2).
 
-The :class:`~repro.serve.workers.ProcessShardWorker` pipe protocol
+The :class:`~repro.serve.workers.ShardWorker` protocol
 frames every message as a 4-byte big-endian length plus a body.  PR 3
 shipped one body format — a pickle of ``(op, args, kwargs)`` — which is
 fine for control traffic but wasteful for the bulk inference messages:

@@ -3,22 +3,20 @@
 :class:`~repro.serve.sharding.ShardedFleet` assumes nothing in-process
 about its shard workers — placement is a pure hash, the journal
 protocol is append-only files, and every worker call goes through the
-engine serving API.  The worker classes here cash that in: a full
+engine serving API.  The worker class here cashes that in: a full
 :class:`~repro.serve.engine.FleetEngine` runs behind the same
 duck-typed interface over the length-prefixed frame protocol
 (:mod:`repro.serve.wire`), carried by any
 :class:`~repro.serve.transport.Transport`:
 
-- :class:`ProcessShardWorker` — the local fast path: a child process
-  over its stdin/stdout pipes (``pipe://``), crash detection backed by
-  ``waitpid`` exit codes;
-- :class:`RemoteShardWorker` — the same protocol over a Unix or TCP
-  socket (``unix:///path``, ``tcp://host:port``): a worker on another
-  host, or a locally ``spawn``-ed standalone process.  No ``waitpid``
-  here — peer death surfaces in-band (torn stream, reset) or via the
-  :meth:`~RemoteShardWorker.check_alive` ping heartbeat;
-- :class:`WorkerSpec` — the single declarative description both
-  resolve from (and the in-process engine too):
+- :class:`ShardWorker` — one client and one lifecycle whatever the
+  medium.  Its URL picks the launch: ``pipe://`` spawns a child on its
+  stdio pipes (the local fast path), ``tcp://host:port`` /
+  ``unix:///path`` spawn a listener child (``spawn=True``) or dial a
+  running worker, and :meth:`ShardWorker.from_transport` adopts a
+  worker that dialed in;
+- :class:`WorkerSpec` — the single declarative description every shard
+  resolves from (the in-process engine too):
   ``WorkerSpec(url=...).resolve(k)`` is the one worker factory
   :class:`ShardedFleet <repro.serve.sharding.ShardedFleet>` uses.
 
@@ -43,7 +41,9 @@ frames**: struct header plus raw array bytes, decoded with
 (non-JSON cycle tags) falls back to pickle for that message.  The
 serving side is :class:`WorkerEndpoint` — the dispatch loop
 ``worker_main`` (pipes) and :func:`run_worker` (socket listener, the
-``repro-soc worker`` entry point) both run.
+``repro-soc worker`` entry point) both run.  A control frame that is
+not an ``(op, args, kwargs)`` triple is answered with an ``err`` reply;
+the loop keeps serving.
 
 Failure semantics:
 
@@ -51,8 +51,8 @@ Failure semantics:
   :class:`WorkerCrashError` on the call that hit the dead link (with
   the exit code when the worker was locally spawned); ``alive``
   reports cached liveness between calls, and
-  :meth:`RemoteShardWorker.check_alive` actively probes a silent
-  remote peer with a deadline-bounded ping.
+  :meth:`ShardWorker.check_alive` actively probes a silent peer with a
+  deadline-bounded ping.
 - **recovery** — give the worker a journal and its engine journals
   every mutation; ``restart()`` respawns (or redials) the worker,
   which restores from that journal, so an interrupted fleet rollout
@@ -94,13 +94,13 @@ from .transport import (
     Transport,
     TransportError,
     TransportListener,
+    TransportTimeout,
     connect,
     parse_url,
 )
 
 __all__ = [
-    "ProcessShardWorker",
-    "RemoteShardWorker",
+    "ShardWorker",
     "WorkerCrashError",
     "WorkerEndpoint",
     "WorkerSpec",
@@ -157,7 +157,6 @@ def _engine_spec(
     default_model: TwoBranchSoCNet | None,
     registry_root: str | Path | None,
     journal_path: str | Path | None,
-    use_kernel: bool,
     monitor: bool,
     trace: bool,
     archive_root: str | Path | None = None,
@@ -174,7 +173,6 @@ def _engine_spec(
         "model": _model_spec(default_model),
         "registry_root": None if registry_root is None else str(registry_root),
         "journal_path": None if journal_path is None else str(journal_path),
-        "use_kernel": use_kernel,
         "monitor": monitor,
         "trace": trace,
         "archive_root": None if archive_root is None else str(archive_root),
@@ -188,12 +186,12 @@ def _engine_spec(
 class _WorkerClient:
     """Shared client half of the worker protocol over a :class:`Transport`.
 
-    Subclasses own the connection lifecycle (spawn/dial/reap) through
-    two hooks: ``self._transport`` (the live transport, or ``None``
-    while down) and :meth:`_transport_failed`, which turns a dead link
-    into the :class:`WorkerCrashError` the caller sees.  Everything
-    else — the engine RPC surface, v2 zero-copy encoding, trace
-    propagation — lives here once, identical over pipes and sockets.
+    :class:`ShardWorker` owns the connection lifecycle (spawn/dial/reap)
+    through two hooks: ``self._transport`` (the live transport, or
+    ``None`` while down) and :meth:`_transport_failed`, which turns a
+    dead link into the :class:`WorkerCrashError` the caller sees.
+    Everything else — the engine RPC surface, v2 zero-copy encoding,
+    trace propagation — lives here, identical over pipes and sockets.
     """
 
     name: str = "shard"
@@ -202,7 +200,7 @@ class _WorkerClient:
 
     # -- connection hooks (subclass responsibility) --------------------
     def _down_message(self, op: str) -> str:
-        return f"shard worker {self.name!r} is not running; call restart()"
+        raise NotImplementedError
 
     def _transport_failed(self, op: str, exc: Exception) -> WorkerCrashError:
         """Mark the link dead and describe the failure (for raising)."""
@@ -420,38 +418,56 @@ class _WorkerClient:
         raise exc_type(message)
 
 
-class ProcessShardWorker(_WorkerClient):
-    """One shard worker running a :class:`FleetEngine` in a subprocess.
-
-    The local fast path (``pipe://``): the worker is a child of this
-    process, the transport its stdio pipes, and crash detection is
-    exact — a dead child is reaped and its exit code reported.
+class ShardWorker(_WorkerClient):
+    """One shard worker: a :class:`FleetEngine` behind the wire protocol.
 
     Implements the shard-worker interface :class:`ShardedFleet
     <repro.serve.sharding.ShardedFleet>` assumes (``register_cell`` /
     ``estimate`` / ``predict`` / ``rollout_fleet`` / state
     adopt/evict / ``len`` / ``in``), each call one round-trip on the
-    wire protocol.
+    wire protocol.  The URL picks how the worker is launched:
+
+    - ``pipe://`` — spawn a child on its stdio pipes (the local fast
+      path).  ``restart()`` respawns it.
+    - ``tcp://host:port`` / ``unix:///path`` with ``spawn=True`` —
+      launch :func:`run_worker` locally as a child listening on the URL
+      (port 0 picks an ephemeral port), then dial it.  ``restart()``
+      respawns the child.  This is how ``serve-sim --worker-transport
+      tcp`` exercises the socket path on one machine.
+    - the same URLs with ``spawn=False`` (default) — dial a worker that
+      is already listening (``repro-soc worker --listen URL``), possibly
+      on another host.  ``restart()`` redials: the crashed worker is
+      expected to be brought back by its own supervisor, and the
+      connect retry window makes the race benign.
+    - ``url=None`` — no launch at all: :meth:`from_transport` adopts a
+      worker that dialed in (``repro-soc worker --connect``), and
+      :meth:`attach` re-homes it when it dials back after a crash.
+
+    Whatever the launch, the lifecycle is one: a dead link surfaces as
+    :class:`WorkerCrashError` on the call that hit it (with the exit
+    code when this process spawned the worker), :meth:`check_alive`
+    catches a *silent* death with a deadline-bounded ping, and a
+    ``restart()`` re-sends the engine spec in ``init`` so a journaled
+    worker restores its cells first.
 
     Parameters
     ----------
+    url:
+        ``pipe://``, ``tcp://host:port``, ``unix:///path`` or ``None``.
     default_model:
-        Model shipped to the child at init (weights over the wire).
+        Model shipped to the worker at init (weights over the wire).
     registry_root:
         Optional :class:`~repro.serve.registry.ModelRegistry` directory
-        the child opens for per-chemistry routing.
+        the worker opens for per-chemistry routing.
     journal_path:
         Optional per-worker :class:`~repro.serve.persistence.StateJournal`
         file.  A restart restores the engine from it (crash recovery);
         without one a restart comes back empty.
     name:
-        Label used in error messages and health reports.
-    use_kernel:
-        Whether the child engine serves through compiled inference
-        kernels (default) or the Tensor path (see
-        :class:`~repro.serve.engine.FleetEngine`).
+        Label used in error messages and health reports, and the
+        identity an inbound worker re-attaches by.
     monitor:
-        Build the child engine with its own
+        Build the worker engine with its own
         :class:`~repro.monitor.metrics.MetricsRegistry` and
         :class:`~repro.monitor.drift.DriftMonitor` (default
         configurations).  The parent reads the registry over the wire
@@ -461,206 +477,39 @@ class ProcessShardWorker(_WorkerClient):
         topology; drift/physics-bounds alarms surface in the snapshot
         as ``drift_events_total{kind=...}`` counters.
     trace:
-        Enable distributed-tracing support in the child: requests whose
+        Enable distributed-tracing support in the worker: requests whose
         v2 frame carries trace context (see
         :data:`repro.serve.wire.TRACE_META_KEY`) get
         ``worker.deserialize`` / ``worker.compute`` /
-        ``worker.serialize`` child spans recorded in the subprocess and
+        ``worker.serialize`` child spans recorded in the worker and
         shipped back in the reply meta.  Requests without context — the
         common, unsampled case — pay only a dict lookup.
-    archive_root:
-        Optional cold-store directory: the child's journal ships
-        sealed segments there on rotation (see
+    archive_root, journal_segment_bytes:
+        Optional cold-store directory the worker's journal ships sealed
+        segments to on rotation, and the rotation size (see
         :mod:`repro.serve.archive`).
+    drift_from_registry:
+        Resolve per-chemistry drift detectors from the registry's
+        published-model metadata (needs ``registry_root``).
     dtype:
-        Serving precision tier for the child engine's compiled kernels
+        Serving precision tier for the worker engine's compiled kernels
         (``"float64"`` default / ``"float32"``); see
         :class:`~repro.serve.engine.FleetEngine`.  Estimate/predict
         replies come back in this dtype.
+    spawn:
+        For socket URLs: launch the listener child instead of dialing.
+    connect_timeout_s, call_timeout_s:
+        How long a dial retries a refused connection, and an optional
+        receive deadline on every call (``None`` waits forever).
     """
 
     def __init__(
         self,
+        url: str | None,
         default_model: TwoBranchSoCNet | None = None,
         registry_root: str | Path | None = None,
         journal_path: str | Path | None = None,
         name: str = "shard",
-        use_kernel: bool = True,
-        monitor: bool = False,
-        trace: bool = False,
-        archive_root: str | Path | None = None,
-        journal_segment_bytes: int = 0,
-        drift_from_registry: bool = False,
-        dtype=None,
-    ):
-        self.name = name
-        self._spec = _engine_spec(
-            default_model,
-            registry_root,
-            journal_path,
-            use_kernel,
-            monitor,
-            trace,
-            archive_root,
-            journal_segment_bytes,
-            drift_from_registry,
-            dtype,
-        )
-        self._proc: subprocess.Popen | None = None
-        self._transport = None
-        self._exit_code: int | None = None
-        self.restarts = 0
-        self._spawn()
-
-    # -- lifecycle -----------------------------------------------------
-    @property
-    def alive(self) -> bool:
-        """Whether the child process is currently running."""
-        return self._proc is not None and self._proc.poll() is None
-
-    @property
-    def durable(self) -> bool:
-        """Whether this worker journals its state (restart restores it)."""
-        return self._spec["journal_path"] is not None
-
-    @property
-    def exit_code(self) -> int | None:
-        """Exit code of the last child to die (``None`` while alive)."""
-        return self._exit_code
-
-    def restart(self) -> None:
-        """Respawn a dead worker, restoring its engine from the journal.
-
-        With a ``journal_path`` the new child replays the journal
-        (cells, model routing, in-flight rollout progress) before
-        serving; an interrupted ``rollout_fleet`` is then completed
-        with :meth:`resume_rollout_fleet`.
-        """
-        if self.alive:
-            raise RuntimeError(f"shard worker {self.name!r} is still running")
-        self.restarts += 1
-        self._spawn()
-
-    def close(self, grace_s: float = 5.0) -> int | None:
-        """Gracefully drain and stop the child; returns its exit code.
-
-        Sends the ``shutdown`` op (the child flushes + closes its
-        journal and exits 0), waits up to ``grace_s``, then escalates
-        to ``kill``.  Safe to call on a dead or already-closed worker.
-        """
-        proc = self._proc
-        if proc is None:
-            return self._exit_code
-        if proc.poll() is None:
-            try:
-                self._call("shutdown")
-            except WorkerCrashError:
-                pass  # it died before acking; reap below
-        if self._proc is not None:
-            try:
-                self._exit_code = self._proc.wait(timeout=grace_s)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._exit_code = self._proc.wait()
-            self._release()
-        return self._exit_code
-
-    def __enter__(self) -> ProcessShardWorker:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):  # best-effort: do not leak children
-        try:
-            if self._proc is not None and self._proc.poll() is None:
-                self._proc.kill()
-                self._proc.wait()
-        except Exception:
-            pass
-
-    # ------------------------------------------------------------------
-    def _spawn(self) -> None:
-        # -c (not -m): runpy would re-execute this module on top of the
-        # copy the package __init__ already imported
-        bootstrap = "import sys; from repro.serve.workers import worker_main; sys.exit(worker_main())"
-        self._proc = subprocess.Popen(
-            [sys.executable, "-c", bootstrap],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            env=_child_env(),
-        )
-        self._transport = PipeTransport(self._proc.stdin, self._proc.stdout, peer=f"pipe://{self.name}")
-        self._exit_code = None
-        self._call("init", self._spec)
-
-    def _release(self) -> None:
-        proc, self._proc = self._proc, None
-        transport, self._transport = self._transport, None
-        if transport is not None:
-            transport.close()
-        if proc is not None:
-            for stream in (proc.stdin, proc.stdout):
-                if stream is not None:
-                    try:
-                        stream.close()
-                    except OSError:
-                        pass
-
-    def _down_message(self, op: str) -> str:
-        return (
-            f"shard worker {self.name!r} is not running "
-            f"(last exit code {self._exit_code}); call restart()"
-        )
-
-    def _transport_failed(self, op: str, exc: Exception) -> WorkerCrashError:
-        # the child is ours: reap it for the exact exit code
-        self._exit_code = self._proc.wait()
-        self._release()
-        return WorkerCrashError(
-            f"shard worker {self.name!r} died during {op!r} (exit code {self._exit_code})"
-        )
-
-
-class RemoteShardWorker(_WorkerClient):
-    """A shard worker reached over a socket (``unix://`` or ``tcp://``).
-
-    Same protocol, same engine, different failure model: the peer may
-    be a process this parent never spawned (another host entirely), so
-    there is no ``waitpid`` — death is detected in-band.  A dead link
-    (torn frame, reset, refused reconnect) surfaces as
-    :class:`WorkerCrashError` on the call that hit it; a *silent*
-    death (e.g. a remote machine partitioned away) is caught by
-    :meth:`check_alive`, a ping with a short receive deadline that the
-    control plane runs between requests.
-
-    Two spawn modes:
-
-    - ``spawn=False`` (default): dial an already-listening worker
-      (started with ``repro-soc worker --listen URL``).  ``restart()``
-      redials the same URL — the crashed worker is expected to be
-      brought back by its own supervisor, and the connect retry window
-      makes the race benign.
-    - ``spawn=True``: launch ``run_worker`` locally as a subprocess
-      listening on ``url`` (use port 0 for an ephemeral port), then
-      connect.  ``restart()`` respawns the process; ``close()`` reaps
-      it.  This is how ``serve-sim --worker-transport tcp`` exercises
-      the socket path on one machine.
-
-    The engine spec (model weights, registry root, journal path,
-    monitor/trace flags) ships over the connection in the ``init`` op,
-    exactly as for the pipe path — a reconnect re-sends it and the
-    worker restores from its journal first.
-    """
-
-    def __init__(
-        self,
-        url: str,
-        default_model: TwoBranchSoCNet | None = None,
-        registry_root: str | Path | None = None,
-        journal_path: str | Path | None = None,
-        name: str = "remote",
-        use_kernel: bool = True,
         monitor: bool = False,
         trace: bool = False,
         archive_root: str | Path | None = None,
@@ -670,39 +519,33 @@ class RemoteShardWorker(_WorkerClient):
         spawn: bool = False,
         connect_timeout_s: float = 10.0,
         call_timeout_s: float | None = None,
-        _transport: Transport | None = None,
     ):
         self.name = name
         self._spec = _engine_spec(
             default_model,
             registry_root,
             journal_path,
-            use_kernel,
             monitor,
             trace,
             archive_root,
             journal_segment_bytes,
             drift_from_registry,
-            dtype=dtype,
+            dtype,
         )
-        self._requested_url = str(parse_url(url)) if url is not None else None
+        self._requested_url = None if url is None else str(parse_url(url))
         self.url: str | None = self._requested_url
-        self._spawn_proc: subprocess.Popen | None = None
-        self._should_spawn = bool(spawn)
+        self._spawns = self._requested_url == "pipe://" or bool(spawn)
         self._connect_timeout_s = float(connect_timeout_s)
         self._call_timeout_s = call_timeout_s
+        self._proc: subprocess.Popen | None = None
         self._transport = None
         self._exit_code: int | None = None
         self.restarts = 0
-        if _transport is not None:
-            self.attach(_transport)
-        else:
-            if self._should_spawn:
-                self._spawn_listener()
-            self._connect()
+        if url is not None:
+            self._launch()
 
     @classmethod
-    def from_transport(cls, transport: Transport, name: str = "remote", **spec_kwargs):
+    def from_transport(cls, transport: Transport, name: str = "remote", **spec_kwargs) -> ShardWorker:
         """Adopt an already-connected transport (a worker that dialed us).
 
         Used by the daemon for ``repro-soc worker --connect`` peers:
@@ -711,18 +554,19 @@ class RemoteShardWorker(_WorkerClient):
         again, and the daemon re-attaches the new transport with
         :meth:`attach`.
         """
-        return cls(url=None, name=name, _transport=transport, **spec_kwargs)
+        worker = cls(None, name=name, **spec_kwargs)
+        worker.attach(transport)
+        return worker
 
     # -- lifecycle -----------------------------------------------------
     @property
     def alive(self) -> bool:
-        """Cached liveness: the link was up at the last completed call.
+        """Cached liveness: a spawned child runs and the link is up.
 
-        Cheap enough for ``/healthz``; a silently-dead remote peer
-        stays ``True`` until a call fails or :meth:`check_alive`
-        probes it.
+        Cheap enough for ``/healthz``; a silently-dead peer stays
+        ``True`` until a call fails or :meth:`check_alive` probes it.
         """
-        if self._spawn_proc is not None and self._spawn_proc.poll() is not None:
+        if self._proc is not None and self._proc.poll() is not None:
             return False
         return self._transport is not None and not self._transport.closed
 
@@ -733,11 +577,11 @@ class RemoteShardWorker(_WorkerClient):
 
     @property
     def exit_code(self) -> int | None:
-        """Exit code of the last locally-spawned worker to die.
+        """Exit code of the last spawned worker to die.
 
-        Always ``None`` for remote peers this parent did not spawn —
-        their exit codes are not observable, which is exactly why
-        :meth:`check_alive` exists.
+        ``None`` while it runs, and always for peers this process did
+        not spawn — their exit codes are not observable, which is
+        exactly why :meth:`check_alive` exists.
         """
         return self._exit_code
 
@@ -761,7 +605,13 @@ class RemoteShardWorker(_WorkerClient):
         return reply == ("ok", "pong")
 
     def restart(self) -> None:
-        """Redial (or respawn) a dead worker; its journal restores it."""
+        """Respawn (or redial) a dead worker; its journal restores it.
+
+        A spawned child that is still running behind the dead link (hung,
+        stopped, or its stream poisoned by a deadline) is killed first.
+        An interrupted ``rollout_fleet`` is then completed with
+        :meth:`resume_rollout_fleet`.
+        """
         if self.alive:
             raise RuntimeError(f"shard worker {self.name!r} is still running")
         if self._requested_url is None:
@@ -771,21 +621,8 @@ class RemoteShardWorker(_WorkerClient):
             )
         self.restarts += 1
         self._drop_link()
-        if self._should_spawn and self._spawn_proc is not None and self._spawn_proc.poll() is None:
-            # the link is down but the child is not reapable yet: a hard
-            # crash resets the socket a beat before the process exits.
-            # Give it a moment to settle so we respawn instead of
-            # redialing a port nobody listens on.  A child that is
-            # genuinely alive (poisoned transport, healthy process) just
-            # rides out the wait and gets redialed below.
-            try:
-                self._spawn_proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                pass
-        if self._should_spawn and (self._spawn_proc is None or self._spawn_proc.poll() is not None):
-            self._reap_spawned()
-            self._spawn_listener()
-        self._connect()
+        self._reap(grace_s=0.0)
+        self._launch()
 
     def attach(self, transport: Transport) -> None:
         """Adopt a fresh transport for this worker and re-init its engine.
@@ -795,18 +632,18 @@ class RemoteShardWorker(_WorkerClient):
         restores from its journal during ``init``, after which
         ``resume_rollout_fleet`` completes any interrupted windows.
         """
-        if self._transport is not None and not self._transport.closed:
-            self._transport.close()
+        self._drop_link()
         self._transport = transport
         self._call("init", self._spec)
 
     def close(self, grace_s: float = 5.0) -> int | None:
-        """Drain the worker and drop the link; reap a spawned process.
+        """Drain the worker and drop the link; reap a spawned child.
 
         Sends ``shutdown`` (the worker closes its journal and exits),
-        closes the transport, and — for ``spawn=True`` workers — waits
-        up to ``grace_s`` before escalating to ``kill``.  Returns the
-        exit code when the worker was locally spawned, else ``None``.
+        closes the transport, and — for spawned workers — waits up to
+        ``grace_s`` before escalating to ``kill``.  Returns the exit
+        code when the worker was spawned here, else ``None``.  Safe to
+        call on a dead or already-closed worker.
         """
         if self._transport is not None and not self._transport.closed:
             try:
@@ -814,82 +651,105 @@ class RemoteShardWorker(_WorkerClient):
             except WorkerCrashError:
                 pass  # it died before acking
         self._drop_link()
-        if self._spawn_proc is not None:
-            try:
-                self._exit_code = self._spawn_proc.wait(timeout=grace_s)
-            except subprocess.TimeoutExpired:
-                self._spawn_proc.kill()
-                self._exit_code = self._spawn_proc.wait()
-            self._reap_spawned()
+        self._reap(grace_s)
         return self._exit_code
 
-    def __enter__(self) -> RemoteShardWorker:
+    def __enter__(self) -> ShardWorker:
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __del__(self):  # best-effort: do not leak spawned workers
+    def __del__(self):  # best-effort: do not leak children
         try:
-            if self._spawn_proc is not None and self._spawn_proc.poll() is None:
-                self._spawn_proc.kill()
-                self._spawn_proc.wait()
+            if self._proc is not None and self._proc.poll() is None:
+                self._proc.kill()
+                self._proc.wait()
         except Exception:
             pass
 
     # ------------------------------------------------------------------
-    def _spawn_listener(self) -> None:
-        """Launch a standalone socket worker and learn its bound URL."""
-        bootstrap = (
-            "import sys; from repro.serve.workers import run_worker; sys.exit(run_worker(sys.argv[1]))"
-        )
+    def _launch(self) -> None:
+        """Spawn or dial the worker, then send ``init``."""
+        transport = self._spawn() if self._spawns else connect(self.url, timeout_s=self._connect_timeout_s)
+        self.attach(transport)
+
+    def _spawn(self) -> Transport:
+        """Start the worker child; return the link to it."""
+        pipe = self._requested_url == "pipe://"
         proc = subprocess.Popen(
-            [sys.executable, "-c", bootstrap, self._requested_url],
+            [sys.executable, "-c", _BOOTSTRAP, *(() if pipe else (self._requested_url,))],
+            stdin=subprocess.PIPE if pipe else None,
             stdout=subprocess.PIPE,
             env=_child_env(),
         )
-        # the worker announces its resolved address (ephemeral ports!)
+        self._proc, self._exit_code = proc, None
+        if pipe:
+            return PipeTransport(proc.stdin, proc.stdout, peer=f"pipe://{self.name}")
+        # the listener announces its resolved address (ephemeral ports!)
         # on stdout before accepting; an empty read means it died
         line = proc.stdout.readline().decode("utf-8", "replace").strip()
         if not line.startswith(WORKER_ANNOUNCE):
-            code = proc.poll()
-            proc.stdout.close()
+            self._reap(grace_s=2.0)
             raise WorkerCrashError(
                 f"spawned worker {self.name!r} failed to listen on "
-                f"{self._requested_url} (exit code {code}, said {line!r})"
+                f"{self._requested_url} (exit code {self._exit_code}, said {line!r})"
             )
-        self._spawn_proc = proc
-        self._exit_code = None
         self.url = line[len(WORKER_ANNOUNCE) :].strip()
-
-    def _connect(self) -> None:
-        self._transport = connect(self.url, timeout_s=self._connect_timeout_s)
-        self._call("init", self._spec)
+        return connect(self.url, timeout_s=self._connect_timeout_s)
 
     def _drop_link(self) -> None:
         transport, self._transport = self._transport, None
         if transport is not None:
             transport.close()
 
-    def _reap_spawned(self) -> None:
-        proc, self._spawn_proc = self._spawn_proc, None
-        if proc is not None:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            if proc.stdout is not None:
-                proc.stdout.close()
+    def _reap(self, grace_s: float) -> None:
+        """Wait up to ``grace_s`` for a spawned child, then kill it."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            self._exit_code = proc.wait(timeout=grace_s)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            self._exit_code = proc.wait()
+        for stream in (proc.stdin, proc.stdout):
+            if stream is not None:
+                try:
+                    stream.close()
+                except OSError:
+                    pass
 
     def _down_message(self, op: str) -> str:
-        return f"shard worker {self.name!r} is not running (link down); call restart()"
+        return (
+            f"shard worker {self.name!r} is not running "
+            f"(last exit code {self._exit_code}); call restart()"
+        )
 
     def _transport_failed(self, op: str, exc: Exception) -> WorkerCrashError:
         self._drop_link()
         detail = str(exc)
-        if self._spawn_proc is not None and self._spawn_proc.poll() is not None:
-            self._exit_code = self._spawn_proc.poll()
-            detail = f"exit code {self._exit_code}"
+        # a spawned child that tore the link is exiting: reap its code.  A
+        # deadline says nothing about the child, so do not wait on one.
+        if self._proc is not None and not isinstance(exc, TransportTimeout):
+            try:
+                self._exit_code = self._proc.wait(timeout=_EXIT_GRACE_S)
+            except subprocess.TimeoutExpired:
+                pass
+            else:
+                detail = f"exit code {self._exit_code}"
         return WorkerCrashError(f"shard worker {self.name!r} died during {op!r} ({detail})")
+
+
+# -c (not -m): runpy would re-execute this module on top of the copy the
+# package __init__ already imported.  A URL argument makes a listener.
+_BOOTSTRAP = (
+    "import sys; from repro.serve.workers import run_worker, worker_main; "
+    "sys.exit(run_worker(sys.argv[1]) if sys.argv[1:] else worker_main())"
+)
+
+# how long a torn link waits for its spawned child to exit (exit code)
+_EXIT_GRACE_S = 2.0
 
 
 def _child_env() -> dict:
@@ -910,12 +770,16 @@ class WorkerSpec:
 
     - ``url=None`` — an in-process :class:`FleetEngine` (the original
       thread-sharded mode);
-    - ``url="pipe://"`` — a :class:`ProcessShardWorker` subprocess
-      over stdio pipes (the local fast path);
+    - ``url="pipe://"`` — a :class:`ShardWorker` child over stdio pipes
+      (the local fast path);
     - ``url="tcp://host:port"`` / ``"unix:///path"`` — a
-      :class:`RemoteShardWorker`; with ``spawn=True`` the worker
+      :class:`ShardWorker` over a socket; with ``spawn=True`` the worker
       process is launched locally first (``tcp://127.0.0.1:0`` picks
       ephemeral ports, so one spec template serves any shard count).
+
+    :meth:`adopt` builds a :class:`ShardWorker` from the same template
+    for a worker that dialed in, which is how the serve daemon
+    provisions ``repro-soc worker --connect`` peers.
 
     ``name``, ``url`` and ``journal`` are templates: a ``{shard}``
     placeholder is substituted with the shard index; a journal path
@@ -923,6 +787,8 @@ class WorkerSpec:
     journal file.  ``journal`` may also be a ready
     :class:`~repro.serve.persistence.StateJournal` *instance* — valid
     only for in-process shards, which share one fleet journal.
+    ``metrics`` and ``drift`` are likewise instances shared by every
+    in-process shard engine.
 
     ``drift_from_registry=True`` resolves per-chemistry drift-detector
     specs from the registry's published-model metadata
@@ -931,8 +797,8 @@ class WorkerSpec:
     it requires a ``registry``.
 
     ``dtype`` selects the serving tier (``"float64"`` default;
-    ``"float32"`` halves kernel memory traffic and requires
-    ``use_kernel=True``) and is forwarded to every resolved engine.
+    ``"float32"`` halves kernel memory traffic) and is forwarded to
+    every resolved engine.
     """
 
     url: str | None = None
@@ -941,7 +807,6 @@ class WorkerSpec:
     journal: StateJournal | str | Path | None = None
     monitor: bool = False
     trace: bool = False
-    use_kernel: bool = True
     archive_root: str | Path | None = None
     journal_segment_bytes: int = 0
     drift_from_registry: bool = False
@@ -955,7 +820,7 @@ class WorkerSpec:
 
     def __post_init__(self):
         if self.url is not None:
-            parse_url(self.url if "{shard}" not in self.url else self.url.format(shard=0))
+            parse_url(_fill(self.url, 0))
         if self.model is None and self.registry is None and self.url is not None:
             raise ValueError("need a default model, a registry root, or both")
         if self.drift_from_registry and self.registry is None:
@@ -966,38 +831,43 @@ class WorkerSpec:
         """``None`` for in-process, else the transport scheme."""
         if self.url is None:
             return None
-        return parse_url(self.url if "{shard}" not in self.url else self.url.format(shard=0)).scheme
+        return parse_url(_fill(self.url, 0)).scheme
 
     def resolve(self, index: int):
-        """Build the worker for shard ``index`` (engine or RPC client)."""
-        name = self.name.format(shard=index)
-        scheme = self.scheme
-        if scheme is None:
+        """Build the worker for shard ``index``: an engine or a :class:`ShardWorker`."""
+        if self.url is None:
             return self._resolve_engine()
+        name = self.name.format(shard=index)
+        kwargs = self._worker_kwargs(name, self._journal_path(index))
+        return ShardWorker(_fill(self.url, index), spawn=self.spawn, **kwargs)
+
+    def adopt(self, transport: Transport, name: str) -> ShardWorker:
+        """A :class:`ShardWorker` over an inbound ``transport``, from this template.
+
+        For a worker that dialed in (``repro-soc worker --connect``)
+        and introduced itself as ``name``: the name is kept verbatim —
+        it is the identity a reconnect re-attaches by — and fills the
+        journal template's ``{shard}`` (a plain path gets a ``.{name}``
+        suffix).  Everything else, serving tier included, comes from
+        the template exactly as for :meth:`resolve`.
+        """
+        return ShardWorker.from_transport(transport, **self._worker_kwargs(name, self._journal_path(name)))
+
+    def _worker_kwargs(self, name: str, journal_path: str | None) -> dict:
         registry_root = self.registry.root if isinstance(self.registry, ModelRegistry) else self.registry
-        journal_path = self._journal_path(index)
-        common = dict(
+        return dict(
             default_model=self.model,
             registry_root=registry_root,
             journal_path=journal_path,
             name=name,
-            use_kernel=self.use_kernel,
             monitor=self.monitor,
             trace=self.trace,
             archive_root=self.archive_root,
             journal_segment_bytes=self.journal_segment_bytes,
             drift_from_registry=self.drift_from_registry,
             dtype=self.dtype,
-        )
-        if scheme == "pipe":
-            return ProcessShardWorker(**common)
-        url = self.url.format(shard=index) if "{shard}" in self.url else self.url
-        return RemoteShardWorker(
-            url,
-            spawn=self.spawn,
             connect_timeout_s=self.connect_timeout_s,
             call_timeout_s=self.call_timeout_s,
-            **common,
         )
 
     def _resolve_engine(self) -> FleetEngine:
@@ -1024,13 +894,13 @@ class WorkerSpec:
             default_model=self.model,
             registry=registry,
             journal=journal,
-            use_kernel=self.use_kernel,
             metrics=metrics,
             drift=drift,
             dtype=self.dtype or "float64",
         )
 
-    def _journal_path(self, index: int) -> str | None:
+    def _journal_path(self, shard: int | str) -> str | None:
+        """Journal file of shard index ``shard`` (or of the inbound worker so named)."""
         if self.journal is None:
             return None
         if isinstance(self.journal, StateJournal):
@@ -1040,8 +910,14 @@ class WorkerSpec:
             )
         template = str(self.journal)
         if "{shard}" in template:
-            return template.format(shard=index)
-        return f"{template}.shard{index}"
+            return template.format(shard=shard)
+        suffix = f"shard{shard}" if isinstance(shard, int) else shard
+        return f"{template}.{suffix}"
+
+
+def _fill(template: str, shard: int) -> str:
+    """Substitute a ``{shard}`` placeholder (templates without one pass through)."""
+    return template.format(shard=shard) if "{shard}" in template else template
 
 
 # -- worker side -------------------------------------------------------
@@ -1051,7 +927,6 @@ WORKER_ANNOUNCE = "worker listening on "
 def _build_engine(spec: dict) -> FleetEngine:
     model = _build_model(spec["model"])
     registry = None if spec["registry_root"] is None else ModelRegistry(spec["registry_root"])
-    use_kernel = spec.get("use_kernel", True)
     metrics = drift = None
     if spec.get("monitor"):
         from ..monitor.drift import DriftMonitor
@@ -1067,7 +942,6 @@ def _build_engine(spec: dict) -> FleetEngine:
     kwargs = dict(
         default_model=model,
         registry=registry,
-        use_kernel=use_kernel,
         metrics=metrics,
         drift=drift,
         dtype=spec.get("dtype", "float64"),
@@ -1089,6 +963,24 @@ def _build_engine(spec: dict) -> FleetEngine:
     if snapshot.cells or snapshot.windows:
         return FleetEngine.restore(journal, **kwargs)
     return FleetEngine(journal=journal, **kwargs)
+
+
+def _control_op(frame) -> tuple:
+    """Unpack a v1 control frame into ``(op, args, kwargs)``.
+
+    Anything else — a bare pickle, a wrong-arity tuple, a v2 frame on
+    the control channel — raises ``ValueError``, which the serving
+    loops answer with an ``err`` reply instead of dying on the unpack.
+    """
+    if (
+        isinstance(frame, tuple)
+        and len(frame) == 3
+        and isinstance(frame[0], str)
+        and isinstance(frame[1], (tuple, list))
+        and isinstance(frame[2], dict)
+    ):
+        return frame
+    raise ValueError(f"malformed control frame: expected (op, args, kwargs), got {type(frame).__name__}")
 
 
 def _crash_hook(after_window: int) -> Callable[[int], None]:
@@ -1147,9 +1039,9 @@ class WorkerEndpoint:
 
     def _serve_v1(self, frame) -> bool:
         """Dispatch one pickled control op; ``True`` means shutdown."""
-        op, args, kwargs = frame
         engine = self.engine
         try:
+            op, args, kwargs = _control_op(frame)
             if op == "init":
                 self.engine = _build_engine(args[0])
                 if args[0].get("trace"):
@@ -1349,7 +1241,7 @@ def run_worker_connect(
     for the fleet to dial in, the worker dials the daemon's control
     URL, introduces itself with a ``worker_hello`` frame carrying its
     ``name``, and then the roles flip — the daemon wraps this very
-    connection in a :class:`RemoteShardWorker` and starts sending
+    connection in a :class:`ShardWorker` and starts sending
     engine ops, which a :class:`WorkerEndpoint` serves.
 
     ``name`` is the worker's identity across reconnects: if this

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import types
 import urllib.request
@@ -26,11 +27,13 @@ from repro.serve import (
     FleetEngine,
     ModelRegistry,
     ShardedFleet,
+    ShardWorker,
     SocClient,
     WorkerSpec,
 )
 from repro.serve.daemon import SocDaemon
 from repro.serve.transport import connect
+from repro.serve.workers import run_worker_connect
 
 SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -125,11 +128,9 @@ class TestDaemonE2E:
                 proc.wait(timeout=10)
 
     def test_add_worker_by_url_through_client(self, model):
-        from repro.serve import RemoteShardWorker
-
         spec = WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True)
         fleet = ShardedFleet(2, spec=spec)
-        spare = RemoteShardWorker("tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare")
+        spare = ShardWorker("tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare")
         spare._drop_link()  # free its listener for the daemon to dial
         daemon = SocDaemon(fleet, "tcp://127.0.0.1:0", worker_spec=spec, control_interval_s=0)
         with daemon, SocClient(daemon.url) as client:
@@ -138,6 +139,28 @@ class TestDaemonE2E:
             assert index == 2
             assert client.worker_health() == [True, True, True]
         spare.close()
+
+    def test_inbound_worker_serves_the_spec_dtype(self, model):
+        """A ``--connect`` worker is built from the daemon's worker_spec,
+        serving tier included: under a float32 spec it answers float32."""
+        spec = WorkerSpec(url="tcp://127.0.0.1:0", model=model, dtype="float32")
+        fleet = ShardedFleet(1, spec=WorkerSpec(model=model, dtype="float32"))
+        daemon = SocDaemon(fleet, "tcp://127.0.0.1:0", worker_spec=spec, control_interval_s=0)
+        with daemon:
+            joiner = threading.Thread(
+                target=run_worker_connect,
+                args=(daemon.url, "f32"),
+                kwargs=dict(reconnect=False, announce=lambda message: None),
+            )
+            joiner.start()
+            wait_for(lambda: fleet.n_shards == 2, what="inbound attach")
+            inbound = fleet._shards[1]
+            assert inbound.name == "f32"
+            inbound.register_cell("a")
+            out = inbound.estimate(["a"], np.float32(3.7), np.float32(1.0), np.float32(25.0))
+            assert out.dtype == np.float32
+        joiner.join(timeout=10)
+        assert not joiner.is_alive()  # the daemon's close drained it
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +244,18 @@ class TestDaemonClients:
         finally:
             transport.close()
         assert len(daemon.engine) == 0  # nothing was adopted
+
+    def test_malformed_frames_get_err_replies_and_the_client_stays(self, daemon):
+        """A v2 frame or a bare pickle on the control channel is answered
+        with a typed error; the handler keeps serving that connection."""
+        transport = connect(daemon.url, timeout_s=5.0)
+        try:
+            transport.send_v2("estimate", {"n": 0}, [])
+            assert transport.recv_frame(timeout_s=5.0)[:2] == ("err", "ValueError")
+            assert transport.request("ping", timeout_s=5.0)[:2] == ("err", "ValueError")
+            assert transport.request(("ping", (), {}), timeout_s=5.0) == ("ok", "pong")
+        finally:
+            transport.close()
 
 
 # ----------------------------------------------------------------------

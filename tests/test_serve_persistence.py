@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import TwoBranchSoCNet
-from repro.serve import FleetEngine, ShardedFleet, StateJournal, generate_fleet
+from repro.serve import FleetEngine, ShardedFleet, StateJournal, WorkerSpec, generate_fleet
 
 
 @pytest.fixture(scope="module")
@@ -391,12 +391,12 @@ class TestCrashRestore:
         reopened.close()
 
     def test_sharded_resume_same_topology_is_exact(self, model, fleet, tmp_path):
-        reference = ShardedFleet(4, default_model=model).rollout_fleet(
+        reference = ShardedFleet(4, spec=WorkerSpec(model=model)).rollout_fleet(
             fleet.assignments(), step_s=120.0
         )
         path = tmp_path / "fleet.journal"
         journal = StateJournal(path)
-        sharded = ShardedFleet(4, default_model=model, journal=journal)
+        sharded = ShardedFleet(4, spec=WorkerSpec(model=model, journal=journal))
         calls = {"n": 0}
 
         def bomb(window):
@@ -409,7 +409,7 @@ class TestCrashRestore:
         journal.close()
 
         reopened = StateJournal(path)
-        restored = ShardedFleet.restore(reopened, n_shards=4, default_model=model)
+        restored = ShardedFleet.restore(reopened, n_shards=4, spec=WorkerSpec(model=model))
         resumed = restored.resume_rollout_fleet(fleet.assignments(), step_s=120.0)
         for cid, _ in fleet.assignments():
             np.testing.assert_array_equal(resumed[cid].soc_pred, reference[cid].soc_pred)
@@ -423,7 +423,7 @@ class TestCrashRestore:
         )
         path = tmp_path / "fleet.journal"
         journal = StateJournal(path)
-        sharded = ShardedFleet(2, default_model=model, journal=journal)
+        sharded = ShardedFleet(2, spec=WorkerSpec(model=model, journal=journal))
         calls = {"n": 0}
 
         def bomb(window):
@@ -436,7 +436,7 @@ class TestCrashRestore:
         journal.close()
 
         reopened = StateJournal(path)
-        restored = ShardedFleet.restore(reopened, n_shards=5, default_model=model)
+        restored = ShardedFleet.restore(reopened, n_shards=5, spec=WorkerSpec(model=model))
         resumed = restored.resume_rollout_fleet(fleet.assignments(), step_s=120.0)
         for cid, _ in fleet.assignments():
             np.testing.assert_allclose(
@@ -457,6 +457,6 @@ class TestCrashRestore:
         engine = FleetEngine(default_model=model)
         with pytest.raises(ValueError, match="journal"):
             engine.resume_rollout_fleet(fleet.assignments()[:1], step_s=120.0)
-        sharded = ShardedFleet(2, default_model=model)
+        sharded = ShardedFleet(2, spec=WorkerSpec(model=model))
         with pytest.raises(ValueError, match="journal"):
             sharded.resume_rollout_fleet(fleet.assignments()[:1], step_s=120.0)

@@ -1,4 +1,4 @@
-"""Socket-backed shard workers: :class:`RemoteShardWorker` + :class:`WorkerSpec`.
+"""Socket-backed shard workers: :class:`ShardWorker` over sockets + :class:`WorkerSpec`.
 
 The pipe-worker suite (``test_serve_workers.py``) covers the engine
 API and crash semantics over stdio; this file covers what changes when
@@ -13,9 +13,8 @@ import pytest
 from repro.core import TwoBranchSoCNet
 from repro.serve import (
     FleetEngine,
-    ProcessShardWorker,
-    RemoteShardWorker,
     ShardedFleet,
+    ShardWorker,
     StateJournal,
     WorkerCrashError,
     WorkerSpec,
@@ -42,9 +41,11 @@ def small_fleet():
 
 # ----------------------------------------------------------------------
 class TestRemoteShardWorker:
+    """The socket launch paths of :class:`ShardWorker`: spawned, dialed and inbound."""
+
     def test_serves_engine_api_over_tcp(self, model):
         local = FleetEngine(default_model=model)
-        worker = RemoteShardWorker(
+        worker = ShardWorker(
             "tcp://127.0.0.1:0", default_model=model, spawn=True, name="sock"
         )
         try:
@@ -64,7 +65,7 @@ class TestRemoteShardWorker:
 
     def test_rollout_matches_in_process_engine(self, model, small_fleet):
         ref = FleetEngine(default_model=model).rollout_fleet(small_fleet.assignments(), 120.0)
-        worker = RemoteShardWorker(
+        worker = ShardWorker(
             "tcp://127.0.0.1:0", default_model=model, spawn=True, name="roll"
         )
         try:
@@ -81,7 +82,7 @@ class TestRemoteShardWorker:
         equals an uninterrupted run exactly."""
         assignments = small_fleet.assignments()
         ref = FleetEngine(default_model=model).rollout_fleet(assignments, 120.0)
-        worker = RemoteShardWorker(
+        worker = ShardWorker(
             "tcp://127.0.0.1:0",
             default_model=model,
             journal_path=tmp_path / "crash.journal",
@@ -100,12 +101,12 @@ class TestRemoteShardWorker:
         worker.close()
 
     def test_check_alive_detects_silently_dead_peer(self, model):
-        worker = RemoteShardWorker(
+        worker = ShardWorker(
             "tcp://127.0.0.1:0", default_model=model, spawn=True, name="probe"
         )
         assert worker.check_alive(timeout_s=5.0)
-        worker._spawn_proc.kill()
-        worker._spawn_proc.wait(timeout=10)
+        worker._proc.kill()
+        worker._proc.wait(timeout=10)
         assert worker.check_alive(timeout_s=2.0) is False
         assert not worker.alive
         worker.close()
@@ -122,13 +123,13 @@ class TestRemoteShardWorker:
         body = wire.pickle_body(("ok", None))
         rd = io.BytesIO(wire.frame_header(len(body)) + body)
         transport = PipeTransport(io.BytesIO(), rd, peer="inbound")
-        worker = RemoteShardWorker.from_transport(transport, name="inbound", default_model=model)
+        worker = ShardWorker.from_transport(transport, name="inbound", default_model=model)
         worker._drop_link()
         with pytest.raises(WorkerCrashError, match="dial back in"):
             worker.restart()
 
     def test_restart_while_alive_is_an_error(self, model):
-        worker = RemoteShardWorker(
+        worker = ShardWorker(
             "tcp://127.0.0.1:0", default_model=model, spawn=True, name="up"
         )
         try:
@@ -143,10 +144,10 @@ class TestWorkerSpec:
     def test_resolves_every_topology(self, model):
         assert isinstance(WorkerSpec(model=model).resolve(0), FleetEngine)
         pipe_worker = WorkerSpec(url="pipe://", model=model).resolve(0)
-        assert isinstance(pipe_worker, ProcessShardWorker)
+        assert isinstance(pipe_worker, ShardWorker)
         pipe_worker.close()
         tcp_worker = WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True).resolve(0)
-        assert isinstance(tcp_worker, RemoteShardWorker)
+        assert isinstance(tcp_worker, ShardWorker)
         tcp_worker.close()
 
     def test_shard_templating(self, model, tmp_path):
@@ -187,7 +188,9 @@ class TestShardedFleetSpec:
             ShardedFleet(2, worker_factory=lambda k: FleetEngine(default_model=model))
 
     def test_spec_rejects_legacy_engine_kwargs(self, model):
-        with pytest.raises(ValueError, match="spec carries the worker description"):
+        # the spec carries the worker description; the engine kwargs it
+        # replaced are gone from the constructor
+        with pytest.raises(TypeError, match="default_model"):
             ShardedFleet(2, spec=WorkerSpec(model=model), default_model=model)
 
     def test_tcp_fleet_matches_single_engine(self, model, small_fleet):
@@ -228,8 +231,8 @@ class TestShardedFleetSpec:
         with fleet:
             fleet.register_cell("a")
             assert fleet.heartbeat(timeout_s=5.0) == [True, True]
-            fleet._shards[0]._spawn_proc.kill()
-            fleet._shards[0]._spawn_proc.wait(timeout=10)
+            fleet._shards[0]._proc.kill()
+            fleet._shards[0]._proc.wait(timeout=10)
             assert fleet.heartbeat(timeout_s=2.0) == [False, True]
             assert fleet.restart_dead_workers() == [0]
             assert fleet.heartbeat(timeout_s=5.0) == [True, True]
@@ -238,7 +241,7 @@ class TestShardedFleetSpec:
     def test_add_worker_by_url_migrates_cells(self, model):
         """The daemon registration path: growing the fleet by a bare
         URL reuses the spec template and migrates ~1/n of the cells."""
-        spare = RemoteShardWorker(
+        spare = ShardWorker(
             "tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare"
         )
         spare._drop_link()  # free the listener: the fleet dials it next

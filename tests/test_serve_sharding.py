@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import TwoBranchSoCNet
-from repro.serve import FleetEngine, ModelRegistry, ShardedFleet, generate_fleet, shard_for
+from repro.serve import FleetEngine, ModelRegistry, ShardedFleet, WorkerSpec, generate_fleet, shard_for
 
 FAST_FLEET = dict(
     ambient_temps_c=(25.0,),
@@ -58,7 +58,7 @@ class TestShardFor:
 class TestShardedFleet:
     def test_rejects_bad_config(self, model):
         with pytest.raises(ValueError):
-            ShardedFleet(0, default_model=model)
+            ShardedFleet(0, spec=WorkerSpec(model=model))
         with pytest.raises(ValueError):
             ShardedFleet(2)  # no model, no registry
 
@@ -66,7 +66,7 @@ class TestShardedFleet:
         """The acceptance property: >=4 shards, 1e-9 agreement with the
         single-engine path across heterogeneous cycle lengths."""
         single = FleetEngine(default_model=model).rollout_fleet(fleet.assignments(), step_s=120.0)
-        sharded = ShardedFleet(4, default_model=model)
+        sharded = ShardedFleet(4, spec=WorkerSpec(model=model))
         results = sharded.rollout_fleet(fleet.assignments(), step_s=120.0)
         assert set(results) == set(single)
         for cid, _ in fleet.assignments():
@@ -78,7 +78,7 @@ class TestShardedFleet:
         assert sorted(results) == sorted(cid for cid, _ in fleet.assignments())
 
     def test_cells_live_on_their_hash_shard(self, model, fleet):
-        sharded = ShardedFleet(4, default_model=model)
+        sharded = ShardedFleet(4, spec=WorkerSpec(model=model))
         sharded.rollout_fleet(fleet.assignments(), step_s=120.0)
         for m in fleet.members:
             assert m.cell_id in sharded
@@ -90,7 +90,7 @@ class TestShardedFleet:
     def test_estimate_and_predict_match_single_engine(self, model):
         ids = [f"c{k}" for k in range(10)]
         single = FleetEngine(default_model=model)
-        sharded = ShardedFleet(4, default_model=model)
+        sharded = ShardedFleet(4, spec=WorkerSpec(model=model))
         for cid in ids:
             single.register_cell(cid)
             sharded.register_cell(cid)
@@ -108,21 +108,21 @@ class TestShardedFleet:
             assert sharded.cell(cid).last_seen_s == 1.0
 
     def test_unknown_cell_raises(self, model):
-        sharded = ShardedFleet(3, default_model=model)
+        sharded = ShardedFleet(3, spec=WorkerSpec(model=model))
         with pytest.raises(KeyError):
             sharded.cell("ghost")
         with pytest.raises(KeyError):
             sharded.estimate(["ghost"], 3.7, 1.0, 25.0)
 
     def test_deregister_cell(self, model):
-        sharded = ShardedFleet(3, default_model=model)
+        sharded = ShardedFleet(3, spec=WorkerSpec(model=model))
         sharded.register_cell("a")
         state = sharded.deregister_cell("a")
         assert state.cell_id == "a"
         assert "a" not in sharded
 
     def test_rebalance_preserves_state_and_moves_minimum(self, model, fleet):
-        sharded = ShardedFleet(4, default_model=model)
+        sharded = ShardedFleet(4, spec=WorkerSpec(model=model))
         sharded.rollout_fleet(fleet.assignments(), step_s=120.0)
         before = {s.cell_id: (s.soc, s.n_requests) for s in sharded.cells()}
         moved = sharded.rebalance(6)

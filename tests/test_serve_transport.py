@@ -111,6 +111,22 @@ class TestFraming:
             b.recv_frame(timeout_s=0.15)
         assert time.monotonic() - t0 < 5.0
 
+    def test_recv_deadline_covers_a_peer_stalling_mid_frame(self, pair):
+        """Half a frame, then silence: the deadline bounds the whole
+        frame read, not just the wait for its first byte."""
+        a, b = pair
+        body = wire.pickle_body(("op", (), {}))
+        a.send_chunks([wire.frame_header(len(body)), body[: len(body) // 2]])
+        hangup = threading.Timer(3.0, a.close)  # unblocks a reader that ignores the deadline
+        hangup.start()
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(TransportTimeout):
+                b.recv_frame(timeout_s=0.2)
+            assert time.monotonic() - t0 < 0.2 + 1.0
+        finally:
+            hangup.cancel()
+
     def test_request_promotes_silent_close_to_peer_gone(self, pair):
         a, b = pair
 

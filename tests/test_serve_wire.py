@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import TwoBranchSoCNet, model_rollout
-from repro.serve import FleetEngine, ProcessShardWorker, generate_fleet
+from repro.serve import FleetEngine, ShardWorker, generate_fleet
 from repro.serve import wire
 
 FAST_FLEET = dict(
@@ -276,7 +276,7 @@ class TestDtypeFidelity:
         v = rng.uniform(2.8, 4.2, 48).astype(np.float32)
         i = rng.uniform(-5, 5, 48).astype(np.float32)
         t = rng.uniform(0, 45, 48).astype(np.float32)
-        with ProcessShardWorker(default_model=model, dtype="float32", name="f32") as worker:
+        with ShardWorker("pipe://", default_model=model, dtype="float32", name="f32") as worker:
             for cid in ids:
                 local.register_cell(cid)
                 worker.register_cell(cid)
@@ -333,7 +333,7 @@ class TestWorkerInterop:
         v = rng.uniform(2.8, 4.2, 64)
         i = rng.uniform(-5, 5, 64)
         t = rng.uniform(0, 45, 64)
-        with ProcessShardWorker(default_model=model, name="v2") as worker:
+        with ShardWorker("pipe://", default_model=model, name="v2") as worker:
             for cid in ids:
                 local.register_cell(cid)
                 worker.register_cell(cid)
@@ -347,7 +347,7 @@ class TestWorkerInterop:
     def test_v2_worker_rollout_is_bit_for_bit(self, model, small_fleet):
         local = FleetEngine(default_model=model)
         ref = local.rollout_fleet(small_fleet.assignments(), step_s=120.0)
-        with ProcessShardWorker(default_model=model, name="v2roll") as worker:
+        with ShardWorker("pipe://", default_model=model, name="v2roll") as worker:
             got = worker.rollout_fleet(small_fleet.assignments(), step_s=120.0)
         for cell_id in ref:
             np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
@@ -363,7 +363,7 @@ class TestWorkerInterop:
         with pytest.raises(TypeError):
             wire.encode_v2("rollout_fleet", meta, arrays)
         ref = model_rollout(model, poisoned, 120.0)
-        with ProcessShardWorker(default_model=model, name="fallback") as worker:
+        with ShardWorker("pipe://", default_model=model, name="fallback") as worker:
             got = worker.rollout_fleet([("a", poisoned)], step_s=120.0)
         np.testing.assert_allclose(got["a"].soc_pred, ref.soc_pred, atol=1e-9, rtol=0)
 
@@ -372,7 +372,7 @@ class TestWorkerInterop:
         array is writable — the same contract as an in-process engine."""
         local = FleetEngine(default_model=model)
         ids = [f"c{k}" for k in range(32)]
-        with ProcessShardWorker(default_model=model, name="scalar") as worker:
+        with ShardWorker("pipe://", default_model=model, name="scalar") as worker:
             for cid in ids:
                 local.register_cell(cid)
                 worker.register_cell(cid)
@@ -382,16 +382,6 @@ class TestWorkerInterop:
             rolled = worker.rollout_fleet(small_fleet.assignments(), step_s=120.0)
         first = next(iter(rolled.values()))
         first.soc_pred[-1] = 0.0  # writable
-
-    def test_tensor_path_worker(self, model, small_fleet):
-        """use_kernel=False ships to the child and serves equivalently."""
-        ref = FleetEngine(default_model=model, use_kernel=False).rollout_fleet(
-            small_fleet.assignments(), step_s=120.0
-        )
-        with ProcessShardWorker(default_model=model, use_kernel=False, name="tensor") as worker:
-            got = worker.rollout_fleet(small_fleet.assignments(), step_s=120.0)
-        for cell_id in ref:
-            np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
 
     def test_v2_frames_beat_pickle_on_size(self):
         """The frame encoding of a bulk estimate is leaner than its pickle."""

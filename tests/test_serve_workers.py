@@ -1,5 +1,8 @@
 """Tests for subprocess shard workers (:mod:`repro.serve.workers`)."""
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,8 @@ from repro.core import TwoBranchSoCNet
 from repro.serve import (
     FleetEngine,
     ModelRegistry,
-    ProcessShardWorker,
     ShardedFleet,
+    ShardWorker,
     WorkerCrashError,
     WorkerSpec,
     generate_fleet,
@@ -35,9 +38,11 @@ def small_fleet():
 
 # ----------------------------------------------------------------------
 class TestProcessShardWorker:
+    """The ``pipe://`` launch path of :class:`ShardWorker`: a child process on stdio pipes."""
+
     def test_serves_engine_api_across_the_wire(self, model):
         local = FleetEngine(default_model=model)
-        with ProcessShardWorker(default_model=model, name="api") as worker:
+        with ShardWorker("pipe://", default_model=model, name="api") as worker:
             for engine in (local, worker):
                 engine.register_cell("a", chemistry="nmc")
                 engine.register_cell("b", chemistry="lfp")
@@ -58,10 +63,10 @@ class TestProcessShardWorker:
 
     def test_requires_model_or_registry(self):
         with pytest.raises(ValueError):
-            ProcessShardWorker()
+            ShardWorker("pipe://")
 
     def test_engine_errors_travel_the_wire(self, model):
-        with ProcessShardWorker(default_model=model, name="err") as worker:
+        with ShardWorker("pipe://", default_model=model, name="err") as worker:
             with pytest.raises(KeyError):
                 worker.cell("ghost")
             with pytest.raises(ValueError, match="process boundary"):
@@ -71,14 +76,14 @@ class TestProcessShardWorker:
 
     def test_rollout_matches_in_process_engine(self, model, small_fleet):
         ref = FleetEngine(default_model=model).rollout_fleet(small_fleet.assignments(), 120.0)
-        with ProcessShardWorker(default_model=model, name="roll") as worker:
+        with ShardWorker("pipe://", default_model=model, name="roll") as worker:
             got = worker.rollout_fleet(small_fleet.assignments(), 120.0)
         for cell_id, _ in small_fleet.assignments():
             np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
             np.testing.assert_array_equal(got[cell_id].time_s, ref[cell_id].time_s)
 
     def test_graceful_close_exits_zero(self, model):
-        worker = ProcessShardWorker(default_model=model, name="drain")
+        worker = ShardWorker("pipe://", default_model=model, name="drain")
         worker.register_cell("a")
         assert worker.close() == 0
         assert not worker.alive
@@ -87,7 +92,7 @@ class TestProcessShardWorker:
             worker.cell("a")
 
     def test_crash_detection_reports_exit_code(self, model, small_fleet):
-        worker = ProcessShardWorker(default_model=model, name="crashy")
+        worker = ShardWorker("pipe://", default_model=model, name="crashy")
         worker.crash_after_window(2)
         with pytest.raises(WorkerCrashError, match="exit code 86"):
             worker.rollout_fleet(small_fleet.assignments(), 120.0)
@@ -98,7 +103,7 @@ class TestProcessShardWorker:
         worker.close()
 
     def test_restart_without_journal_comes_back_empty(self, model):
-        worker = ProcessShardWorker(default_model=model, name="amnesiac")
+        worker = ShardWorker("pipe://", default_model=model, name="amnesiac")
         worker.register_cell("a")
         worker.close()
         worker.restart()
@@ -109,7 +114,7 @@ class TestProcessShardWorker:
 
     def test_restart_restores_state_from_journal(self, model, tmp_path):
         path = tmp_path / "worker.journal"
-        worker = ProcessShardWorker(default_model=model, journal_path=path, name="durable")
+        worker = ShardWorker("pipe://", default_model=model, journal_path=path, name="durable")
         assert worker.durable
         worker.register_cell("a", chemistry="nmc")
         worker.estimate(["a"], 3.7, 1.0, 25.0)
@@ -127,8 +132,8 @@ class TestProcessShardWorker:
         uninterrupted run exactly."""
         assignments = small_fleet.assignments()
         ref = FleetEngine(default_model=model).rollout_fleet(assignments, 120.0)
-        worker = ProcessShardWorker(
-            default_model=model, journal_path=tmp_path / "crash.journal", name="phoenix"
+        worker = ShardWorker(
+            "pipe://", default_model=model, journal_path=tmp_path / "crash.journal", name="phoenix"
         )
         worker.crash_after_window(3)
         with pytest.raises(WorkerCrashError):
@@ -139,6 +144,18 @@ class TestProcessShardWorker:
         for cell_id, _ in assignments:
             np.testing.assert_array_equal(resumed[cell_id].soc_pred, ref[cell_id].soc_pred)
         worker.close()
+
+
+    @pytest.mark.parametrize("frame", ["ping", ("ping",), ("ping", (), {}, "extra"), ("ping", None, {}), 42])
+    def test_malformed_control_frame_gets_an_err_reply(self, model, frame):
+        """A control frame that is not an (op, args, kwargs) triple is
+        answered with a typed error; the worker keeps serving."""
+        with ShardWorker("pipe://", default_model=model, name="garbled") as worker:
+            reply = worker._transport.request(frame, timeout_s=10.0)
+            assert reply[:2] == ("err", "ValueError")
+            assert "malformed control frame" in reply[2]
+            assert worker._transport.request(("ping", (), {}), timeout_s=10.0) == ("ok", "pong")
+            assert worker.alive
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +237,32 @@ class TestShardedFleetProcessWorkers:
         with pytest.raises(ValueError, match="own their journal file"):
             ShardedFleet(2, spec=spec)
 
+    def test_heartbeat_pings_pipe_workers_and_heals_a_stopped_child(self, model):
+        """A hung pipe child (SIGSTOP) answers no ping: the heartbeat marks
+        it dead, and a restart kills the stopped child and respawns it."""
+        spec = WorkerSpec(url="pipe://", model=model, name="hb{shard}")
+        with ShardedFleet(2, spec=spec) as fleet:
+            assert fleet.heartbeat(timeout_s=5.0) == [True, True]
+            victim = fleet._shards[0]
+            stopped = victim._proc
+            os.kill(stopped.pid, signal.SIGSTOP)
+            try:
+                assert fleet.heartbeat(timeout_s=0.5) == [False, True]
+                assert fleet.worker_health() == [False, True]
+                assert fleet.restart_dead_workers() == [0]
+                assert stopped.poll() == -signal.SIGKILL  # restart killed the stopped child
+            finally:
+                if stopped.poll() is None:
+                    stopped.kill()
+                    stopped.wait()
+            assert victim._proc is not stopped and victim.restarts == 1
+            assert fleet.heartbeat(timeout_s=5.0) == [True, True]
+            ids = [f"c{k}" for k in range(8)]
+            for cid in ids:
+                fleet.register_cell(cid)
+            assert fleet.shard_sizes()[0] > 0
+            assert fleet.estimate(ids, 3.7, 1.0, 25.0).shape == (8,)
+
     def test_fleet_resume_after_one_worker_crash(self, model, small_fleet, tmp_path):
         """Kill one of two durable workers mid-rollout; restart it and
         resume the *fleet* — results match an uninterrupted fleet run
@@ -254,13 +297,13 @@ class TestWorkerMetrics:
     to the parent, and ``ShardedFleet.metrics()`` merges the topology."""
 
     def test_snapshot_is_none_without_monitoring(self, model):
-        with ProcessShardWorker(default_model=model, name="quiet") as worker:
+        with ShardWorker("pipe://", default_model=model, name="quiet") as worker:
             worker.register_cell("a")
             worker.estimate(["a"], 3.7, 1.0, 25.0)
             assert worker.metrics_snapshot() is None
 
     def test_monitored_worker_ships_its_snapshot(self, model):
-        with ProcessShardWorker(default_model=model, name="mon", monitor=True) as worker:
+        with ShardWorker("pipe://", default_model=model, name="mon", monitor=True) as worker:
             worker.register_cell("a")
             worker.register_cell("b")
             worker.estimate(["a", "b"], 3.7, 1.0, 25.0)
@@ -344,12 +387,12 @@ class TestDriftFromRegistry:
         with pytest.raises(ValueError, match="needs a registry"):
             WorkerSpec(url="pipe://", model=model, drift_from_registry=True)
         with pytest.raises(ValueError, match="needs a registry"):
-            ProcessShardWorker(default_model=model, drift_from_registry=True)
+            ShardWorker("pipe://", default_model=model, drift_from_registry=True)
 
     def test_worker_routes_drift_per_chemistry_from_the_registry(self, tmp_path, model):
         registry = self._registry(tmp_path, model)
-        worker = ProcessShardWorker(
-            registry_root=registry.root, name="driftcfg", drift_from_registry=True
+        worker = ShardWorker(
+            "pipe://", registry_root=registry.root, name="driftcfg", drift_from_registry=True
         )
         with worker:
             worker.register_cell("hot", chemistry="lfp")
