@@ -48,7 +48,7 @@ import numpy as np
 from ..core.rollout import RolloutResult
 from ..datasets.base import CycleRecord
 from ..monitor.tracing import stage
-from .engine import CellState, FleetEngine
+from .engine import CellState
 from .persistence import StateJournal
 from .registry import ModelRegistry
 from .workers import WorkerCrashError, WorkerSpec
@@ -177,14 +177,7 @@ class ShardedFleet:
             raise ValueError("need at least one shard")
         old = self._shards
         self._shards = old[:n_shards] + [self._new_worker(k) for k in range(len(old), n_shards)]
-        moved = 0
-        for source, shard in enumerate(old):
-            for state in list(shard.cells()):
-                target = shard_for(state.cell_id, n_shards)
-                if target != source:
-                    shard._evict_state(state.cell_id)
-                    self._shards[target]._adopt_state(state)
-                    moved += 1
+        moved = self._migrate(old)
         for removed in old[n_shards:]:
             self._close_worker(removed)
         return moved
@@ -197,9 +190,7 @@ class ShardedFleet:
         model_name: str | None = None,
     ) -> CellState:
         """Add (or re-route) a cell on its owner shard."""
-        return self._shards[self.shard_of(cell_id)].register_cell(
-            cell_id, chemistry=chemistry, model_name=model_name
-        )
+        return self._owner(cell_id).register_cell(cell_id, chemistry=chemistry, model_name=model_name)
 
     def deregister_cell(self, cell_id: str) -> CellState:
         """Remove a cell from its owner shard; returns its final state."""
@@ -222,7 +213,7 @@ class ShardedFleet:
         return sum(len(shard) for shard in self._shards)
 
     def __contains__(self, cell_id: str) -> bool:
-        return cell_id in self._shards[self.shard_of(cell_id)]
+        return cell_id in self._owner(cell_id)
 
     # -- batched inference ---------------------------------------------
     def estimate(
@@ -397,14 +388,8 @@ class ShardedFleet:
         their state (the same move :meth:`rebalance` performs).
         """
         self._shards.append(worker)
-        n = len(self._shards)
-        for source, shard in enumerate(self._shards[:-1]):
-            for state in list(shard.cells()):
-                target = shard_for(state.cell_id, n)
-                if target != source:
-                    shard._evict_state(state.cell_id)
-                    self._shards[target]._adopt_state(state)
-        return n - 1
+        self._migrate(self._shards[:-1])
+        return len(self._shards) - 1
 
     def reattach_worker(self, name: str, transport) -> int | None:
         """Re-home a returning ``--connect`` worker onto its old shard.
@@ -559,11 +544,21 @@ class ShardedFleet:
                     results.update(engine.rollout_fleet(shard_pairs, step_s, step_hook=step_hook))
         return {cell_id: results[cell_id] for cell_id, _ in pairs}
 
-    def _owner(self, cell_id: str) -> FleetEngine:
-        shard = self._shards[self.shard_of(cell_id)]
-        if cell_id not in shard:
-            raise KeyError(f"unknown cell {cell_id!r}; {len(self)} cells registered")
-        return shard
+    def _migrate(self, sources: list) -> int:
+        """Move each cell on ``sources`` (the old shard list) to its owner now; returns cells moved."""
+        moved = 0
+        for source, shard in enumerate(sources):
+            for state in list(shard.cells()):
+                target = self.shard_of(state.cell_id)
+                if target != source:
+                    shard._evict_state(state.cell_id)
+                    self._shards[target]._adopt_state(state)
+                    moved += 1
+        return moved
+
+    def _owner(self, cell_id: str):
+        """The owner shard of a cell id; single-cell ops go straight to it (one round trip)."""
+        return self._shards[self.shard_of(cell_id)]
 
     def _partition(self, cell_ids: Sequence[str]) -> dict[int, np.ndarray]:
         groups: dict[int, list[int]] = {}

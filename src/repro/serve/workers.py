@@ -9,16 +9,20 @@ duck-typed interface over the length-prefixed frame protocol
 (:mod:`repro.serve.wire`), carried by any
 :class:`~repro.serve.transport.Transport`:
 
+- :class:`WorkerSpec` — the one description of a shard and the one
+  engine builder.  ``WorkerSpec(url=...).resolve(k)`` is the worker
+  factory :class:`ShardedFleet <repro.serve.sharding.ShardedFleet>`
+  uses; :meth:`WorkerSpec.build_engine` builds the
+  :class:`~repro.serve.engine.FleetEngine` both in process
+  (``url=None``) and in a worker child, which rebuilds the spec from
+  its ``init`` payload (the spec's declarative fields plus model
+  weights);
 - :class:`ShardWorker` — one client and one lifecycle whatever the
-  medium.  Its URL picks the launch: ``pipe://`` spawns a child on its
-  stdio pipes (the local fast path), ``tcp://host:port`` /
-  ``unix:///path`` spawn a listener child (``spawn=True``) or dial a
-  running worker, and :meth:`ShardWorker.from_transport` adopts a
-  worker that dialed in;
-- :class:`WorkerSpec` — the single declarative description every shard
-  resolves from (the in-process engine too):
-  ``WorkerSpec(url=...).resolve(k)`` is the one worker factory
-  :class:`ShardedFleet <repro.serve.sharding.ShardedFleet>` uses.
+  medium, built from one resolved spec.  Its URL picks the launch:
+  ``pipe://`` spawns a child on its stdio pipes (the local fast path),
+  ``tcp://host:port`` / ``unix:///path`` spawn a listener child
+  (``spawn=True``) or dial a running worker, and
+  :meth:`ShardWorker.from_transport` adopts a worker that dialed in.
 
 Wire protocol (one reply per request, strictly in order; see
 :mod:`repro.serve.wire` for the codec)::
@@ -151,36 +155,6 @@ def _build_model(spec: dict | None) -> TwoBranchSoCNet | None:
     model = TwoBranchSoCNet(config, rng=np.random.default_rng(0))
     model.load_state_dict(spec["state"])
     return model
-
-
-def _engine_spec(
-    default_model: TwoBranchSoCNet | None,
-    registry_root: str | Path | None,
-    journal_path: str | Path | None,
-    monitor: bool,
-    trace: bool,
-    archive_root: str | Path | None = None,
-    journal_segment_bytes: int = 0,
-    drift_from_registry: bool = False,
-    dtype=None,
-) -> dict:
-    """The picklable ``init`` payload a worker builds its engine from."""
-    if default_model is None and registry_root is None:
-        raise ValueError("need a default model, a registry root, or both")
-    if drift_from_registry and registry_root is None:
-        raise ValueError("drift_from_registry needs a registry root to resolve specs from")
-    return {
-        "model": _model_spec(default_model),
-        "registry_root": None if registry_root is None else str(registry_root),
-        "journal_path": None if journal_path is None else str(journal_path),
-        "monitor": monitor,
-        "trace": trace,
-        "archive_root": None if archive_root is None else str(archive_root),
-        "journal_segment_bytes": int(journal_segment_bytes),
-        "drift_from_registry": bool(drift_from_registry),
-        # dtype ships as a name string so the spec stays plain JSON-able
-        "dtype": str(np.dtype(dtype).name) if dtype is not None else "float64",
-    }
 
 
 class _WorkerClient:
@@ -425,7 +399,12 @@ class ShardWorker(_WorkerClient):
     <repro.serve.sharding.ShardedFleet>` assumes (``register_cell`` /
     ``estimate`` / ``predict`` / ``rollout_fleet`` / state
     adopt/evict / ``len`` / ``in``), each call one round-trip on the
-    wire protocol.  The URL picks how the worker is launched:
+    wire protocol.
+
+    ``spec`` is one resolved :class:`WorkerSpec` — URL, name and journal
+    path already filled for this shard (:meth:`WorkerSpec.resolve` and
+    :meth:`WorkerSpec.adopt` build it).  Its ``url`` picks how the
+    worker is launched:
 
     - ``pipe://`` — spawn a child on its stdio pipes (the local fast
       path).  ``restart()`` respawns it.
@@ -447,114 +426,39 @@ class ShardWorker(_WorkerClient):
     :class:`WorkerCrashError` on the call that hit it (with the exit
     code when this process spawned the worker), :meth:`check_alive`
     catches a *silent* death with a deadline-bounded ping, and a
-    ``restart()`` re-sends the engine spec in ``init`` so a journaled
-    worker restores its cells first.
-
-    Parameters
-    ----------
-    url:
-        ``pipe://``, ``tcp://host:port``, ``unix:///path`` or ``None``.
-    default_model:
-        Model shipped to the worker at init (weights over the wire).
-    registry_root:
-        Optional :class:`~repro.serve.registry.ModelRegistry` directory
-        the worker opens for per-chemistry routing.
-    journal_path:
-        Optional per-worker :class:`~repro.serve.persistence.StateJournal`
-        file.  A restart restores the engine from it (crash recovery);
-        without one a restart comes back empty.
-    name:
-        Label used in error messages and health reports, and the
-        identity an inbound worker re-attaches by.
-    monitor:
-        Build the worker engine with its own
-        :class:`~repro.monitor.metrics.MetricsRegistry` and
-        :class:`~repro.monitor.drift.DriftMonitor` (default
-        configurations).  The parent reads the registry over the wire
-        via :meth:`metrics_snapshot` (the ``metrics`` op), which
-        :meth:`ShardedFleet.metrics
-        <repro.serve.sharding.ShardedFleet.metrics>` merges across the
-        topology; drift/physics-bounds alarms surface in the snapshot
-        as ``drift_events_total{kind=...}`` counters.
-    trace:
-        Enable distributed-tracing support in the worker: requests whose
-        v2 frame carries trace context (see
-        :data:`repro.serve.wire.TRACE_META_KEY`) get
-        ``worker.deserialize`` / ``worker.compute`` /
-        ``worker.serialize`` child spans recorded in the worker and
-        shipped back in the reply meta.  Requests without context — the
-        common, unsampled case — pay only a dict lookup.
-    archive_root, journal_segment_bytes:
-        Optional cold-store directory the worker's journal ships sealed
-        segments to on rotation, and the rotation size (see
-        :mod:`repro.serve.archive`).
-    drift_from_registry:
-        Resolve per-chemistry drift detectors from the registry's
-        published-model metadata (needs ``registry_root``).
-    dtype:
-        Serving precision tier for the worker engine's compiled kernels
-        (``"float64"`` default / ``"float32"``); see
-        :class:`~repro.serve.engine.FleetEngine`.  Estimate/predict
-        replies come back in this dtype.
-    spawn:
-        For socket URLs: launch the listener child instead of dialing.
-    connect_timeout_s, call_timeout_s:
-        How long a dial retries a refused connection, and an optional
-        receive deadline on every call (``None`` waits forever).
+    ``restart()`` re-sends the spec in ``init`` so a journaled worker
+    restores its cells first.  The spec's ``name`` labels errors and
+    health reports and is the identity an inbound worker re-attaches
+    by; ``connect_timeout_s`` bounds a dial's retries and
+    ``call_timeout_s`` is an optional receive deadline on every call.
     """
 
-    def __init__(
-        self,
-        url: str | None,
-        default_model: TwoBranchSoCNet | None = None,
-        registry_root: str | Path | None = None,
-        journal_path: str | Path | None = None,
-        name: str = "shard",
-        monitor: bool = False,
-        trace: bool = False,
-        archive_root: str | Path | None = None,
-        journal_segment_bytes: int = 0,
-        drift_from_registry: bool = False,
-        dtype=None,
-        spawn: bool = False,
-        connect_timeout_s: float = 10.0,
-        call_timeout_s: float | None = None,
-    ):
-        self.name = name
-        self._spec = _engine_spec(
-            default_model,
-            registry_root,
-            journal_path,
-            monitor,
-            trace,
-            archive_root,
-            journal_segment_bytes,
-            drift_from_registry,
-            dtype,
-        )
-        self._requested_url = None if url is None else str(parse_url(url))
+    def __init__(self, spec: WorkerSpec):
+        self.spec = spec
+        self.name = spec.name
+        self._init = spec._init_payload()
+        self._requested_url = None if spec.url is None else str(parse_url(spec.url))
         self.url: str | None = self._requested_url
-        self._spawns = self._requested_url == "pipe://" or bool(spawn)
-        self._connect_timeout_s = float(connect_timeout_s)
-        self._call_timeout_s = call_timeout_s
+        self._spawns = self._requested_url == "pipe://" or spec.spawn
+        self._call_timeout_s = spec.call_timeout_s
         self._proc: subprocess.Popen | None = None
         self._transport = None
         self._exit_code: int | None = None
         self.restarts = 0
-        if url is not None:
+        if spec.url is not None:
             self._launch()
 
     @classmethod
-    def from_transport(cls, transport: Transport, name: str = "remote", **spec_kwargs) -> ShardWorker:
+    def from_transport(cls, transport: Transport, spec: WorkerSpec) -> ShardWorker:
         """Adopt an already-connected transport (a worker that dialed us).
 
         Used by the daemon for ``repro-soc worker --connect`` peers:
         the worker initiated the connection, so there is no URL to
-        redial — after a disconnect the worker is expected to dial
-        again, and the daemon re-attaches the new transport with
-        :meth:`attach`.
+        redial (``spec.url`` is ignored) — after a disconnect the worker
+        is expected to dial again, and the daemon re-attaches the new
+        transport with :meth:`attach`.
         """
-        worker = cls(None, name=name, **spec_kwargs)
+        worker = cls(dataclasses.replace(spec, url=None))
         worker.attach(transport)
         return worker
 
@@ -573,7 +477,7 @@ class ShardWorker(_WorkerClient):
     @property
     def durable(self) -> bool:
         """Whether this worker journals its state (restart restores it)."""
-        return self._spec["journal_path"] is not None
+        return self.spec.journal is not None
 
     @property
     def exit_code(self) -> int | None:
@@ -634,7 +538,7 @@ class ShardWorker(_WorkerClient):
         """
         self._drop_link()
         self._transport = transport
-        self._call("init", self._spec)
+        self._call("init", self._init)
 
     def close(self, grace_s: float = 5.0) -> int | None:
         """Drain the worker and drop the link; reap a spawned child.
@@ -671,8 +575,10 @@ class ShardWorker(_WorkerClient):
     # ------------------------------------------------------------------
     def _launch(self) -> None:
         """Spawn or dial the worker, then send ``init``."""
-        transport = self._spawn() if self._spawns else connect(self.url, timeout_s=self._connect_timeout_s)
-        self.attach(transport)
+        if self._spawns:
+            self.attach(self._spawn())
+        else:
+            self.attach(connect(self.url, timeout_s=self.spec.connect_timeout_s))
 
     def _spawn(self) -> Transport:
         """Start the worker child; return the link to it."""
@@ -696,7 +602,7 @@ class ShardWorker(_WorkerClient):
                 f"{self._requested_url} (exit code {self._exit_code}, said {line!r})"
             )
         self.url = line[len(WORKER_ANNOUNCE) :].strip()
-        return connect(self.url, timeout_s=self._connect_timeout_s)
+        return connect(self.url, timeout_s=self.spec.connect_timeout_s)
 
     def _drop_link(self) -> None:
         transport, self._transport = self._transport, None
@@ -779,7 +685,10 @@ class WorkerSpec:
 
     :meth:`adopt` builds a :class:`ShardWorker` from the same template
     for a worker that dialed in, which is how the serve daemon
-    provisions ``repro-soc worker --connect`` peers.
+    provisions ``repro-soc worker --connect`` peers.  Either way the
+    worker is built from a per-shard copy of this spec, and
+    :meth:`build_engine` — the one engine builder — runs on it in
+    process or, from the ``init`` payload, in the worker child.
 
     ``name``, ``url`` and ``journal`` are templates: a ``{shard}``
     placeholder is substituted with the shard index; a journal path
@@ -788,17 +697,37 @@ class WorkerSpec:
     :class:`~repro.serve.persistence.StateJournal` *instance* — valid
     only for in-process shards, which share one fleet journal.
     ``metrics`` and ``drift`` are likewise instances shared by every
-    in-process shard engine.
+    in-process shard engine; ``registry`` may be a
+    :class:`~repro.serve.registry.ModelRegistry` or its root directory.
+    A worker child gets plain data instead: paths, flags, the dtype
+    name and the model weights.
 
+    ``monitor=True`` gives the engine a
+    :class:`~repro.monitor.metrics.MetricsRegistry` and a
+    :class:`~repro.monitor.drift.DriftMonitor` (default configurations)
+    where the spec does not already give one.  A worker's registry is
+    read over the wire via :meth:`ShardWorker.metrics_snapshot`, which
+    :meth:`ShardedFleet.metrics
+    <repro.serve.sharding.ShardedFleet.metrics>` merges across the
+    topology; drift alarms surface as ``drift_events_total{kind=...}``.
     ``drift_from_registry=True`` resolves per-chemistry drift-detector
     specs from the registry's published-model metadata
     (:func:`~repro.serve.driftconfig.drift_resolver_from_registry`)
-    instead of the uniform default detectors ``monitor=True`` builds;
-    it requires a ``registry``.
+    instead; it requires a ``registry``.
+
+    ``trace=True`` lets a worker record ``worker.deserialize`` /
+    ``worker.compute`` / ``worker.serialize`` spans for requests whose
+    v2 frame carries trace context (:data:`repro.serve.wire.TRACE_META_KEY`)
+    and ship them back in the reply meta; unsampled requests pay one
+    dict lookup.  ``archive_root`` and ``journal_segment_bytes`` are a
+    worker journal's cold store and rotation size
+    (:mod:`repro.serve.archive`).
 
     ``dtype`` selects the serving tier (``"float64"`` default;
     ``"float32"`` halves kernel memory traffic) and is forwarded to
-    every resolved engine.
+    every resolved engine; estimate/predict replies come back in it.
+    ``spawn``, ``connect_timeout_s`` and ``call_timeout_s`` describe the
+    :class:`ShardWorker` launch and call deadlines.
     """
 
     url: str | None = None
@@ -821,7 +750,7 @@ class WorkerSpec:
     def __post_init__(self):
         if self.url is not None:
             parse_url(_fill(self.url, 0))
-        if self.model is None and self.registry is None and self.url is not None:
+        if self.model is None and self.registry is None:
             raise ValueError("need a default model, a registry root, or both")
         if self.drift_from_registry and self.registry is None:
             raise ValueError("drift_from_registry needs a registry to resolve specs from")
@@ -836,10 +765,16 @@ class WorkerSpec:
     def resolve(self, index: int):
         """Build the worker for shard ``index``: an engine or a :class:`ShardWorker`."""
         if self.url is None:
-            return self._resolve_engine()
-        name = self.name.format(shard=index)
-        kwargs = self._worker_kwargs(name, self._journal_path(index))
-        return ShardWorker(_fill(self.url, index), spawn=self.spawn, **kwargs)
+            if self.journal is not None and not isinstance(self.journal, StateJournal):
+                raise ValueError("in-process shards share one StateJournal; pass the instance, not a path")
+            return self.build_engine()
+        spec = dataclasses.replace(
+            self,
+            url=_fill(self.url, index),
+            name=self.name.format(shard=index),
+            journal=self._journal_path(index),
+        )
+        return ShardWorker(spec)
 
     def adopt(self, transport: Transport, name: str) -> ShardWorker:
         """A :class:`ShardWorker` over an inbound ``transport``, from this template.
@@ -851,63 +786,84 @@ class WorkerSpec:
         suffix).  Everything else, serving tier included, comes from
         the template exactly as for :meth:`resolve`.
         """
-        return ShardWorker.from_transport(transport, **self._worker_kwargs(name, self._journal_path(name)))
+        spec = dataclasses.replace(self, name=name, journal=self._journal_path(name))
+        return ShardWorker.from_transport(transport, spec)
 
-    def _worker_kwargs(self, name: str, journal_path: str | None) -> dict:
-        registry_root = self.registry.root if isinstance(self.registry, ModelRegistry) else self.registry
-        return dict(
-            default_model=self.model,
-            registry_root=registry_root,
-            journal_path=journal_path,
-            name=name,
-            monitor=self.monitor,
-            trace=self.trace,
-            archive_root=self.archive_root,
-            journal_segment_bytes=self.journal_segment_bytes,
-            drift_from_registry=self.drift_from_registry,
-            dtype=self.dtype,
-            connect_timeout_s=self.connect_timeout_s,
-            call_timeout_s=self.call_timeout_s,
-        )
+    def build_engine(self) -> FleetEngine:
+        """The :class:`FleetEngine` this spec describes — the one engine builder.
 
-    def _resolve_engine(self) -> FleetEngine:
+        Runs in process (:meth:`resolve` with ``url=None``) and in a
+        worker child, whose ``init`` op rebuilds the spec from
+        :meth:`_init_payload`.  A ``journal`` *path* is opened with the
+        archive and segment settings, and the engine restores from it
+        when it holds state (a restarted worker).
+        """
         registry = self.registry
         if registry is not None and not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry)
-        journal = self.journal
-        if journal is not None and not isinstance(journal, StateJournal):
-            raise ValueError(
-                "in-process shards share one StateJournal; pass the instance, not a path"
-            )
         metrics, drift = self.metrics, self.drift
         if self.monitor and metrics is None:
-            from ..monitor.drift import DriftMonitor
             from ..monitor.metrics import MetricsRegistry
 
             metrics = MetricsRegistry()
-            drift = DriftMonitor(metrics=metrics)
-        if self.drift_from_registry and registry is not None:
+        if self.drift_from_registry:
             from .driftconfig import drift_resolver_from_registry
 
+            # the engine wraps the resolver in a ChemistryDriftRouter
             drift = drift_resolver_from_registry(registry)
-        return FleetEngine(
+        elif self.monitor and drift is None:
+            from ..monitor.drift import DriftMonitor
+
+            drift = DriftMonitor(metrics=metrics)
+        kwargs = dict(
             default_model=self.model,
             registry=registry,
-            journal=journal,
             metrics=metrics,
             drift=drift,
             dtype=self.dtype or "float64",
         )
+        journal = self.journal
+        if journal is None or isinstance(journal, StateJournal):
+            return FleetEngine(journal=journal, **kwargs)
+        archive = None
+        if self.archive_root:
+            from .archive import DirectoryArchiveStore
 
-    def _journal_path(self, shard: int | str) -> str | None:
-        """Journal file of shard index ``shard`` (or of the inbound worker so named)."""
-        if self.journal is None:
-            return None
+            archive = DirectoryArchiveStore(self.archive_root)
+        journal = StateJournal(journal, archive=archive, max_segment_bytes=self.journal_segment_bytes)
+        snapshot = journal.snapshot()
+        if snapshot.cells or snapshot.windows:
+            return FleetEngine.restore(journal, **kwargs)
+        return FleetEngine(journal=journal, **kwargs)
+
+    def _init_payload(self) -> dict:
+        """The ``init`` op's payload: the fields a worker child rebuilds this spec from.
+
+        Plain data only — paths, flags, the dtype name, and the model's
+        config and weights; in-process instances never cross the wire.
+        """
         if isinstance(self.journal, StateJournal):
             raise ValueError(
                 "process/socket workers own their journal file; pass a path template, "
                 "not a StateJournal instance"
             )
+        registry = self.registry.root if isinstance(self.registry, ModelRegistry) else self.registry
+        return {
+            "model": _model_spec(self.model),
+            "registry": None if registry is None else str(registry),
+            "journal": None if self.journal is None else str(self.journal),
+            "monitor": bool(self.monitor),
+            "trace": bool(self.trace),
+            "archive_root": None if self.archive_root is None else str(self.archive_root),
+            "journal_segment_bytes": int(self.journal_segment_bytes),
+            "drift_from_registry": bool(self.drift_from_registry),
+            "dtype": np.dtype(self.dtype or "float64").name,
+        }
+
+    def _journal_path(self, shard: int | str):
+        """Journal file of shard index ``shard`` (or of the inbound worker so named)."""
+        if not isinstance(self.journal, (str, Path)):
+            return self.journal  # none, or an instance _init_payload rejects
         template = str(self.journal)
         if "{shard}" in template:
             return template.format(shard=shard)
@@ -922,47 +878,6 @@ def _fill(template: str, shard: int) -> str:
 
 # -- worker side -------------------------------------------------------
 WORKER_ANNOUNCE = "worker listening on "
-
-
-def _build_engine(spec: dict) -> FleetEngine:
-    model = _build_model(spec["model"])
-    registry = None if spec["registry_root"] is None else ModelRegistry(spec["registry_root"])
-    metrics = drift = None
-    if spec.get("monitor"):
-        from ..monitor.drift import DriftMonitor
-        from ..monitor.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        drift = DriftMonitor(metrics=metrics)
-    if spec.get("drift_from_registry") and registry is not None:
-        from .driftconfig import drift_resolver_from_registry
-
-        # the engine wraps the resolver in a ChemistryDriftRouter
-        drift = drift_resolver_from_registry(registry)
-    kwargs = dict(
-        default_model=model,
-        registry=registry,
-        metrics=metrics,
-        drift=drift,
-        dtype=spec.get("dtype", "float64"),
-    )
-    journal_path = spec["journal_path"]
-    if journal_path is None:
-        return FleetEngine(**kwargs)
-    archive = None
-    if spec.get("archive_root"):
-        from .archive import DirectoryArchiveStore
-
-        archive = DirectoryArchiveStore(spec["archive_root"])
-    journal = StateJournal(
-        journal_path,
-        archive=archive,
-        max_segment_bytes=spec.get("journal_segment_bytes", 0) or 0,
-    )
-    snapshot = journal.snapshot()
-    if snapshot.cells or snapshot.windows:
-        return FleetEngine.restore(journal, **kwargs)
-    return FleetEngine(journal=journal, **kwargs)
 
 
 def _control_op(frame) -> tuple:
@@ -1043,8 +958,10 @@ class WorkerEndpoint:
         try:
             op, args, kwargs = _control_op(frame)
             if op == "init":
-                self.engine = _build_engine(args[0])
-                if args[0].get("trace"):
+                fields = dict(args[0])
+                spec = WorkerSpec(model=_build_model(fields.pop("model")), **fields)
+                self.engine = spec.build_engine()
+                if spec.trace:
                     from ..monitor.tracing import SpanTracer
 
                     # recorder only: no head sampling, no metrics — the

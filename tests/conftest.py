@@ -40,3 +40,22 @@ def small_sandia():
 def small_lg():
     """Two train + two test cycle LG campaign at 0.5 s sampling."""
     return generate_lg(SMALL_LG)
+
+
+@pytest.fixture
+def resolve_shard():
+    """``spec.resolve(0)`` — an in-process engine or a ``ShardWorker`` — closed at teardown.
+
+    Lets one test body run against both launches of the same
+    :class:`~repro.serve.WorkerSpec` (``url=None`` and a worker URL).
+    """
+    built = []
+
+    def resolve(spec):
+        built.append(spec.resolve(0))
+        return built[-1]
+
+    yield resolve
+    for shard in built:
+        if hasattr(shard, "close"):
+            shard.close()

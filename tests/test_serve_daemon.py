@@ -130,7 +130,7 @@ class TestDaemonE2E:
     def test_add_worker_by_url_through_client(self, model):
         spec = WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True)
         fleet = ShardedFleet(2, spec=spec)
-        spare = ShardWorker("tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare")
+        spare = ShardWorker(WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="spare"))
         spare._drop_link()  # free its listener for the daemon to dial
         daemon = SocDaemon(fleet, "tcp://127.0.0.1:0", worker_spec=spec, control_interval_s=0)
         with daemon, SocClient(daemon.url) as client:

@@ -45,9 +45,7 @@ class TestRemoteShardWorker:
 
     def test_serves_engine_api_over_tcp(self, model):
         local = FleetEngine(default_model=model)
-        worker = ShardWorker(
-            "tcp://127.0.0.1:0", default_model=model, spawn=True, name="sock"
-        )
+        worker = ShardWorker(WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="sock"))
         try:
             assert worker.url.startswith("tcp://127.0.0.1:")
             for engine in (local, worker):
@@ -65,9 +63,7 @@ class TestRemoteShardWorker:
 
     def test_rollout_matches_in_process_engine(self, model, small_fleet):
         ref = FleetEngine(default_model=model).rollout_fleet(small_fleet.assignments(), 120.0)
-        worker = ShardWorker(
-            "tcp://127.0.0.1:0", default_model=model, spawn=True, name="roll"
-        )
+        worker = ShardWorker(WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="roll"))
         try:
             got = worker.rollout_fleet(small_fleet.assignments(), 120.0)
         finally:
@@ -83,11 +79,13 @@ class TestRemoteShardWorker:
         assignments = small_fleet.assignments()
         ref = FleetEngine(default_model=model).rollout_fleet(assignments, 120.0)
         worker = ShardWorker(
-            "tcp://127.0.0.1:0",
-            default_model=model,
-            journal_path=tmp_path / "crash.journal",
-            spawn=True,
-            name="phoenix",
+            WorkerSpec(
+                url="tcp://127.0.0.1:0",
+                model=model,
+                journal=tmp_path / "crash.journal",
+                spawn=True,
+                name="phoenix",
+            )
         )
         worker.crash_after_window(3)
         with pytest.raises(WorkerCrashError):
@@ -101,9 +99,7 @@ class TestRemoteShardWorker:
         worker.close()
 
     def test_check_alive_detects_silently_dead_peer(self, model):
-        worker = ShardWorker(
-            "tcp://127.0.0.1:0", default_model=model, spawn=True, name="probe"
-        )
+        worker = ShardWorker(WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="probe"))
         assert worker.check_alive(timeout_s=5.0)
         worker._proc.kill()
         worker._proc.wait(timeout=10)
@@ -123,15 +119,13 @@ class TestRemoteShardWorker:
         body = wire.pickle_body(("ok", None))
         rd = io.BytesIO(wire.frame_header(len(body)) + body)
         transport = PipeTransport(io.BytesIO(), rd, peer="inbound")
-        worker = ShardWorker.from_transport(transport, name="inbound", default_model=model)
+        worker = ShardWorker.from_transport(transport, WorkerSpec(model=model, name="inbound"))
         worker._drop_link()
         with pytest.raises(WorkerCrashError, match="dial back in"):
             worker.restart()
 
     def test_restart_while_alive_is_an_error(self, model):
-        worker = ShardWorker(
-            "tcp://127.0.0.1:0", default_model=model, spawn=True, name="up"
-        )
+        worker = ShardWorker(WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="up"))
         try:
             with pytest.raises(RuntimeError, match="still running"):
                 worker.restart()
@@ -162,6 +156,16 @@ class TestWorkerSpec:
             url="pipe://", model=model, journal=str(tmp_path / "j{shard}.journal")
         )
         assert templated._journal_path(1) == str(tmp_path / "j1.journal")
+
+    def test_monitor_keeps_an_explicit_drift_monitor(self, model):
+        """``monitor=True`` fills in only what the spec leaves out: a given
+        drift monitor survives, and a metrics registry is still created."""
+        from repro.monitor.drift import DriftMonitor
+
+        drift = DriftMonitor()
+        engine = WorkerSpec(model=model, monitor=True, drift=drift).resolve(0)
+        assert engine.drift is drift
+        assert engine.metrics is not None
 
     def test_needs_model_or_registry_for_workers(self):
         with pytest.raises(ValueError, match="default model"):
@@ -241,9 +245,7 @@ class TestShardedFleetSpec:
     def test_add_worker_by_url_migrates_cells(self, model):
         """The daemon registration path: growing the fleet by a bare
         URL reuses the spec template and migrates ~1/n of the cells."""
-        spare = ShardWorker(
-            "tcp://127.0.0.1:0", default_model=model, spawn=True, name="spare"
-        )
+        spare = ShardWorker(WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="spare"))
         spare._drop_link()  # free the listener: the fleet dials it next
         fleet = ShardedFleet(
             2, spec=WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="g{shard}")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import TwoBranchSoCNet, model_rollout
-from repro.serve import FleetEngine, ShardWorker, generate_fleet
+from repro.serve import FleetEngine, ShardWorker, WorkerSpec, generate_fleet
 from repro.serve import wire
 
 FAST_FLEET = dict(
@@ -269,23 +269,24 @@ class TestDtypeFidelity:
         assert frame.arrays[0].dtype == np.float32
         assert frame.arrays[0].tobytes() == col.tobytes()
 
-    def test_float32_worker_replies_stay_float32(self, model):
+    @pytest.mark.parametrize("url", [None, "pipe://"], ids=["inproc", "pipe"])
+    def test_float32_worker_replies_stay_float32(self, model, url, resolve_shard):
         local = FleetEngine(default_model=model, dtype=np.float32)
         rng = np.random.default_rng(5)
         ids = [f"c{k}" for k in range(48)]
         v = rng.uniform(2.8, 4.2, 48).astype(np.float32)
         i = rng.uniform(-5, 5, 48).astype(np.float32)
         t = rng.uniform(0, 45, 48).astype(np.float32)
-        with ShardWorker("pipe://", default_model=model, dtype="float32", name="f32") as worker:
-            for cid in ids:
-                local.register_cell(cid)
-                worker.register_cell(cid)
-            out = worker.estimate(ids, v, i, t)
-            assert out.dtype == np.float32
-            np.testing.assert_array_equal(out, local.estimate(ids, v, i, t))
-            pred = worker.predict(ids, i, t, 60.0)
-            assert pred.dtype == np.float32
-            np.testing.assert_array_equal(pred, local.predict(ids, i, t, 60.0))
+        worker = resolve_shard(WorkerSpec(url=url, model=model, dtype="float32", name="f32"))
+        for cid in ids:
+            local.register_cell(cid)
+            worker.register_cell(cid)
+        out = worker.estimate(ids, v, i, t)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, local.estimate(ids, v, i, t))
+        pred = worker.predict(ids, i, t, 60.0)
+        assert pred.dtype == np.float32
+        np.testing.assert_array_equal(pred, local.predict(ids, i, t, 60.0))
 
 
 class TestRolloutCodec:
@@ -333,7 +334,7 @@ class TestWorkerInterop:
         v = rng.uniform(2.8, 4.2, 64)
         i = rng.uniform(-5, 5, 64)
         t = rng.uniform(0, 45, 64)
-        with ShardWorker("pipe://", default_model=model, name="v2") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="v2")) as worker:
             for cid in ids:
                 local.register_cell(cid)
                 worker.register_cell(cid)
@@ -347,7 +348,7 @@ class TestWorkerInterop:
     def test_v2_worker_rollout_is_bit_for_bit(self, model, small_fleet):
         local = FleetEngine(default_model=model)
         ref = local.rollout_fleet(small_fleet.assignments(), step_s=120.0)
-        with ShardWorker("pipe://", default_model=model, name="v2roll") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="v2roll")) as worker:
             got = worker.rollout_fleet(small_fleet.assignments(), step_s=120.0)
         for cell_id in ref:
             np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
@@ -363,7 +364,7 @@ class TestWorkerInterop:
         with pytest.raises(TypeError):
             wire.encode_v2("rollout_fleet", meta, arrays)
         ref = model_rollout(model, poisoned, 120.0)
-        with ShardWorker("pipe://", default_model=model, name="fallback") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="fallback")) as worker:
             got = worker.rollout_fleet([("a", poisoned)], step_s=120.0)
         np.testing.assert_allclose(got["a"].soc_pred, ref.soc_pred, atol=1e-9, rtol=0)
 
@@ -372,7 +373,7 @@ class TestWorkerInterop:
         array is writable — the same contract as an in-process engine."""
         local = FleetEngine(default_model=model)
         ids = [f"c{k}" for k in range(32)]
-        with ShardWorker("pipe://", default_model=model, name="scalar") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="scalar")) as worker:
             for cid in ids:
                 local.register_cell(cid)
                 worker.register_cell(cid)

@@ -17,6 +17,7 @@ from repro.serve import (
     generate_fleet,
 )
 from repro.serve.driftconfig import drift_resolver_from_registry
+from repro.serve.transport import Transport
 
 FAST_FLEET = dict(
     ambient_temps_c=(25.0,),
@@ -36,13 +37,19 @@ def small_fleet():
     return generate_fleet(16, seed=7, **FAST_FLEET)
 
 
+@pytest.fixture(scope="module")
+def pipe_fleet(model):
+    with ShardedFleet(3, spec=WorkerSpec(url="pipe://", model=model, name="rt{shard}")) as fleet:
+        yield fleet
+
+
 # ----------------------------------------------------------------------
 class TestProcessShardWorker:
     """The ``pipe://`` launch path of :class:`ShardWorker`: a child process on stdio pipes."""
 
     def test_serves_engine_api_across_the_wire(self, model):
         local = FleetEngine(default_model=model)
-        with ShardWorker("pipe://", default_model=model, name="api") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="api")) as worker:
             for engine in (local, worker):
                 engine.register_cell("a", chemistry="nmc")
                 engine.register_cell("b", chemistry="lfp")
@@ -63,10 +70,10 @@ class TestProcessShardWorker:
 
     def test_requires_model_or_registry(self):
         with pytest.raises(ValueError):
-            ShardWorker("pipe://")
+            ShardWorker(WorkerSpec(url="pipe://"))
 
     def test_engine_errors_travel_the_wire(self, model):
-        with ShardWorker("pipe://", default_model=model, name="err") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="err")) as worker:
             with pytest.raises(KeyError):
                 worker.cell("ghost")
             with pytest.raises(ValueError, match="process boundary"):
@@ -76,14 +83,14 @@ class TestProcessShardWorker:
 
     def test_rollout_matches_in_process_engine(self, model, small_fleet):
         ref = FleetEngine(default_model=model).rollout_fleet(small_fleet.assignments(), 120.0)
-        with ShardWorker("pipe://", default_model=model, name="roll") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="roll")) as worker:
             got = worker.rollout_fleet(small_fleet.assignments(), 120.0)
         for cell_id, _ in small_fleet.assignments():
             np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
             np.testing.assert_array_equal(got[cell_id].time_s, ref[cell_id].time_s)
 
     def test_graceful_close_exits_zero(self, model):
-        worker = ShardWorker("pipe://", default_model=model, name="drain")
+        worker = ShardWorker(WorkerSpec(url="pipe://", model=model, name="drain"))
         worker.register_cell("a")
         assert worker.close() == 0
         assert not worker.alive
@@ -92,7 +99,7 @@ class TestProcessShardWorker:
             worker.cell("a")
 
     def test_crash_detection_reports_exit_code(self, model, small_fleet):
-        worker = ShardWorker("pipe://", default_model=model, name="crashy")
+        worker = ShardWorker(WorkerSpec(url="pipe://", model=model, name="crashy"))
         worker.crash_after_window(2)
         with pytest.raises(WorkerCrashError, match="exit code 86"):
             worker.rollout_fleet(small_fleet.assignments(), 120.0)
@@ -103,7 +110,7 @@ class TestProcessShardWorker:
         worker.close()
 
     def test_restart_without_journal_comes_back_empty(self, model):
-        worker = ShardWorker("pipe://", default_model=model, name="amnesiac")
+        worker = ShardWorker(WorkerSpec(url="pipe://", model=model, name="amnesiac"))
         worker.register_cell("a")
         worker.close()
         worker.restart()
@@ -114,7 +121,7 @@ class TestProcessShardWorker:
 
     def test_restart_restores_state_from_journal(self, model, tmp_path):
         path = tmp_path / "worker.journal"
-        worker = ShardWorker("pipe://", default_model=model, journal_path=path, name="durable")
+        worker = ShardWorker(WorkerSpec(url="pipe://", model=model, journal=path, name="durable"))
         assert worker.durable
         worker.register_cell("a", chemistry="nmc")
         worker.estimate(["a"], 3.7, 1.0, 25.0)
@@ -133,7 +140,7 @@ class TestProcessShardWorker:
         assignments = small_fleet.assignments()
         ref = FleetEngine(default_model=model).rollout_fleet(assignments, 120.0)
         worker = ShardWorker(
-            "pipe://", default_model=model, journal_path=tmp_path / "crash.journal", name="phoenix"
+            WorkerSpec(url="pipe://", model=model, journal=tmp_path / "crash.journal", name="phoenix")
         )
         worker.crash_after_window(3)
         with pytest.raises(WorkerCrashError):
@@ -150,7 +157,7 @@ class TestProcessShardWorker:
     def test_malformed_control_frame_gets_an_err_reply(self, model, frame):
         """A control frame that is not an (op, args, kwargs) triple is
         answered with a typed error; the worker keeps serving."""
-        with ShardWorker("pipe://", default_model=model, name="garbled") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="garbled")) as worker:
             reply = worker._transport.request(frame, timeout_s=10.0)
             assert reply[:2] == ("err", "ValueError")
             assert "malformed control frame" in reply[2]
@@ -189,6 +196,30 @@ class TestShardedFleetProcessWorkers:
             ref = single.estimate(ids, v, i, 25.0)
             np.testing.assert_allclose(out, ref, atol=1e-9, rtol=0)
             assert sorted(sharded.worker_health()) == [True, True, True]
+
+    @pytest.mark.parametrize("op", ["cell", "reroute_cell", "deregister_cell"])
+    @pytest.mark.parametrize("known", [True, False], ids=["hit", "miss"])
+    def test_single_cell_op_is_one_round_trip(self, pipe_fleet, monkeypatch, op, known):
+        """A single-cell op goes straight to its owner shard: one round
+        trip whether the cell is known or not, and a miss still raises
+        KeyError."""
+        cell_id = f"{op}-{'hit' if known else 'miss'}"
+        if known:
+            pipe_fleet.register_cell(cell_id)
+        trips = []
+        request_with = Transport.request_with
+
+        def counted(transport, *args, **kwargs):
+            trips.append(transport)
+            return request_with(transport, *args, **kwargs)
+
+        monkeypatch.setattr(Transport, "request_with", counted)
+        if known:
+            assert getattr(pipe_fleet, op)(cell_id).cell_id == cell_id
+        else:
+            with pytest.raises(KeyError, match="unknown cell"):
+                getattr(pipe_fleet, op)(cell_id)
+        assert len(trips) == 1
 
     def test_rebalance_migrates_live_state_between_processes(self, model):
         sharded = ShardedFleet(2, spec=WorkerSpec(url="pipe://", model=model, name="r{shard}"))
@@ -297,17 +328,18 @@ class TestWorkerMetrics:
     to the parent, and ``ShardedFleet.metrics()`` merges the topology."""
 
     def test_snapshot_is_none_without_monitoring(self, model):
-        with ShardWorker("pipe://", default_model=model, name="quiet") as worker:
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="quiet")) as worker:
             worker.register_cell("a")
             worker.estimate(["a"], 3.7, 1.0, 25.0)
             assert worker.metrics_snapshot() is None
 
-    def test_monitored_worker_ships_its_snapshot(self, model):
-        with ShardWorker("pipe://", default_model=model, name="mon", monitor=True) as worker:
-            worker.register_cell("a")
-            worker.register_cell("b")
-            worker.estimate(["a", "b"], 3.7, 1.0, 25.0)
-            snap = worker.metrics_snapshot()
+    @pytest.mark.parametrize("url", [None, "pipe://"], ids=["inproc", "pipe"])
+    def test_monitored_worker_ships_its_snapshot(self, model, url, resolve_shard):
+        worker = resolve_shard(WorkerSpec(url=url, model=model, name="mon", monitor=True))
+        worker.register_cell("a")
+        worker.register_cell("b")
+        worker.estimate(["a", "b"], 3.7, 1.0, 25.0)
+        snap = worker.metrics_snapshot()
         key = 'engine_requests_total{model="__default__",op="estimate",path="kernel"}'
         assert snap["counters"][key] == 2.0
         assert snap["gauges"]["engine_cells"] == 2.0
@@ -387,23 +419,23 @@ class TestDriftFromRegistry:
         with pytest.raises(ValueError, match="needs a registry"):
             WorkerSpec(url="pipe://", model=model, drift_from_registry=True)
         with pytest.raises(ValueError, match="needs a registry"):
-            ShardWorker("pipe://", default_model=model, drift_from_registry=True)
+            ShardWorker(WorkerSpec(url="pipe://", model=model, drift_from_registry=True))
 
-    def test_worker_routes_drift_per_chemistry_from_the_registry(self, tmp_path, model):
+    @pytest.mark.parametrize("url", [None, "pipe://"], ids=["inproc", "pipe"])
+    def test_worker_routes_drift_per_chemistry_from_the_registry(self, tmp_path, model, url, resolve_shard):
         registry = self._registry(tmp_path, model)
-        worker = ShardWorker(
-            "pipe://", registry_root=registry.root, name="driftcfg", drift_from_registry=True
+        worker = resolve_shard(
+            WorkerSpec(url=url, registry=registry.root, name="driftcfg", drift_from_registry=True)
         )
-        with worker:
-            worker.register_cell("hot", chemistry="lfp")
-            worker.register_cell("calm", chemistry="nmc")
-            assert worker.drift_events() == []
-            worker.estimate(["hot", "calm"], [3.7, 3.7], [1.0, 1.0], 25.0)
-            events = worker.drift_events()
-            # only the lfp cell trips its registry-declared bounds; the
-            # nmc cell runs default detectors, which stay quiet here
-            assert events and {event.cell_id for event in events} == {"hot"}
-            assert {event.kind for event in events} == {"soc_bounds"}
+        worker.register_cell("hot", chemistry="lfp")
+        worker.register_cell("calm", chemistry="nmc")
+        assert worker.drift_events() == []
+        worker.estimate(["hot", "calm"], [3.7, 3.7], [1.0, 1.0], 25.0)
+        events = worker.drift_events()
+        # only the lfp cell trips its registry-declared bounds; the
+        # nmc cell runs default detectors, which stay quiet here
+        assert events and {event.cell_id for event in events} == {"hot"}
+        assert {event.kind for event in events} == {"soc_bounds"}
 
     def test_sharded_fleet_merges_worker_drift_events(self, tmp_path, model):
         registry = self._registry(tmp_path, model)
