@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import pickle
 import sys
 import time
 
@@ -251,6 +252,21 @@ def bench_rollout(model, cells: int, step_s: float, seed: int) -> dict:
     }
 
 
+def _pickle_roundtrip(payload):
+    """One length-prefixed pickle frame written and read back (the pickle arm).
+
+    Worker frames no longer decode pickle, so this arm frames and
+    unpickles by hand, the same work the frame codec used to do.
+    """
+    buf = io.BytesIO()
+    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    buf.write(wire.frame_header(len(body)) + body)
+    buf.flush()
+    buf.seek(0)
+    length = wire.frame_length(buf.read(wire.LENGTH_PREFIX_SIZE))
+    return pickle.loads(buf.read(length))
+
+
 def bench_wire(rollout_results: dict, batch: int, reps: int) -> dict:
     """Encode+decode round-trips: pickle frames vs v2 zero-copy frames."""
     rng = np.random.default_rng(1)
@@ -258,10 +274,7 @@ def bench_wire(rollout_results: dict, batch: int, reps: int) -> dict:
     cols = [rng.uniform(2.8, 4.2, batch), rng.uniform(-5, 5, batch), rng.uniform(0, 45, batch)]
 
     def pickle_estimate():
-        buf = io.BytesIO()
-        wire.write_pickle(buf, ("estimate", (ids, *cols), {"now_s": None}))
-        buf.seek(0)
-        return wire.read_frame(buf)
+        return _pickle_roundtrip(("estimate", (ids, *cols), {"now_s": None}))
 
     def v2_estimate():
         buf = io.BytesIO()
@@ -278,10 +291,7 @@ def bench_wire(rollout_results: dict, batch: int, reps: int) -> dict:
     meta, arrays = wire.encode_rollout_results(rollout_results)
 
     def pickle_rollout():
-        buf = io.BytesIO()
-        wire.write_pickle(buf, ("ok", rollout_results))
-        buf.seek(0)
-        return wire.read_frame(buf)
+        return _pickle_roundtrip(("ok", rollout_results))
 
     def v2_rollout():
         buf = io.BytesIO()

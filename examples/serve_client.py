@@ -10,14 +10,15 @@ This is the multi-host serving loop in one file:
 4. grow the fleet by registering one more worker at runtime;
 5. read the health/stats a dashboard would scrape.
 
-In production the daemon runs standalone (the control channel is
+In production the daemon runs standalone (its client link is still
 unauthenticated pickle: bind ``tcp://0.0.0.0`` only on a trusted
 network)::
 
     repro-soc serve model.npz --listen tcp://0.0.0.0:7355 \
         --workers 2 --worker-transport tcp --journal fleet.journal
 
-workers join from other hosts::
+workers join from other hosts (the worker link carries v2 frames only,
+so a worker never unpickles, but it is unauthenticated too)::
 
     repro-soc worker --connect tcp://daemon-host:7355 --name rack3
 

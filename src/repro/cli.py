@@ -1020,9 +1020,12 @@ The worker is stateless at startup: the connecting fleet sends the
 engine description (model, registry, journal, archive) in its first
 frame, and the journal restores per-cell state.
 
-security: the control channel is unauthenticated pickle, so whoever
-reaches a --listen port (or poses as the --connect daemon) can run code
-in the worker.  Bind tcp://0.0.0.0 only on a trusted network.
+security: the worker decodes v2 frames only (JSON meta + raw arrays)
+and never unpickles, so nothing it receives executes code.  The link is
+still unauthenticated: whoever reaches a --listen port (or poses as the
+--connect daemon) can drive its engine and choose the journal and
+registry paths it opens.  Bind tcp://0.0.0.0 only on a trusted network.
+The daemon's client link ('repro-soc serve --listen') is still pickle.
 """
 
 
@@ -1214,7 +1217,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--listen", default=None,
                    help="bind this URL and serve fleets that dial in "
                         "(tcp://host:port, port 0 = ephemeral, or unix:///path); "
-                        "unauthenticated pickle: trusted networks only")
+                        "never unpickles, but unauthenticated: trusted networks only")
     g.add_argument("--connect", default=None,
                    help="dial this daemon control URL and serve as one of its shards")
     g.add_argument("--name", default="worker",

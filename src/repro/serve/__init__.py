@@ -45,9 +45,9 @@ and versioned checkpoint rollout.
 - :mod:`repro.serve.archive` — :class:`DirectoryArchiveStore` and
   :func:`restore_from_archive`: cold storage for sealed journal
   segments (rotation ships, restore replays);
-- :mod:`repro.serve.wire` — the worker frame codec: pickled control
-  frames plus v2 zero-copy frames (struct header + raw array payloads
-  decoded via ``np.frombuffer``) for the bulk inference messages;
+- :mod:`repro.serve.wire` — the worker frame codec: v2 frames (struct
+  header + JSON meta + raw array payloads decoded via
+  ``np.frombuffer``) for every worker op, control and bulk alike;
 - :mod:`repro.serve.fleet_sim` — synthetic heterogeneous fleets for
   benchmarks and the ``repro-soc serve-sim`` subcommand.
 

@@ -8,12 +8,14 @@ methods mirroring the gateway endpoints, get plain Python values
 back.  Examples and soak scripts depend on this module and nothing
 deeper.
 
-The wire is the same pickle-framed protocol the workers use
-(:mod:`repro.serve.transport`), one request/reply pair at a time per
+The wire is the length-prefixed frame stream of
+:mod:`repro.serve.transport`, one request/reply pair at a time per
 connection — a client is **not** thread-safe; open one per thread
 (connections are cheap, the daemon serves each on its own handler
-thread).  Remote errors come back as raised exceptions mapped from
-the daemon's error frames (``KeyError`` for unknown cells,
+thread).  Requests and replies are pickled — the one link still
+pickled (worker links carry v2 frames only) — so the daemon must only
+face trusted peers.  Remote errors come back as raised exceptions
+mapped from the daemon's error frames (``KeyError`` for unknown cells,
 ``RuntimeError`` otherwise — including gateway shedding).
 
 Usage::
@@ -29,11 +31,26 @@ Usage::
 
 from __future__ import annotations
 
+import pickle
 from typing import Iterable
 
+from . import wire
 from .transport import PeerGone, Transport, TransportError, connect
 
-__all__ = ["SocClient", "DaemonUnavailable"]
+__all__ = ["SocClient", "DaemonUnavailable", "read_payload"]
+
+
+def read_payload(transport: Transport, timeout_s: float | None = None):
+    """One frame off the daemon's client link; ``None`` when the peer closed cleanly.
+
+    A v2 body (an inbound worker's ``worker_hello``) decodes to a
+    :class:`~repro.serve.wire.V2Frame`; anything else is unpickled: the
+    stack's one unpickling reader, which no worker link uses.
+    """
+    body = transport.recv_body(timeout_s)
+    if body is not None and body[:1] == bytes([wire.V2_MAGIC]):
+        return wire.decode_body(body)
+    return None if body is None else pickle.loads(body)
 
 
 class DaemonUnavailable(ConnectionError):
@@ -187,13 +204,13 @@ class SocClient:
         remote retrain pipeline hands off a candidate without racing
         the daemon on ``channels.json``.
         """
-        from .workers import _model_spec
+        from .workers import _model_wire
 
         return int(
             self._call(
                 "publish",
                 name,
-                _model_spec(model),
+                *_model_wire(model),
                 chemistry=chemistry,
                 dataset=dataset,
                 extra=extra,
@@ -229,16 +246,18 @@ class SocClient:
     def _connect(self) -> None:
         try:
             self._transport = connect(self.url, timeout_s=self.connect_timeout_s)
-        except (TransportError, ValueError) as exc:
-            if isinstance(exc, ValueError):
-                raise
+        except TransportError as exc:
             raise DaemonUnavailable(f"no daemon at {self.url}: {exc}") from exc
 
     def _call(self, op: str, *args, **kwargs):
         if self._transport is None or self._transport.closed:
             self._connect()
+        transport = self._transport
         try:
-            reply = self._transport.request((op, args, kwargs), timeout_s=self.call_timeout_s)
+            transport.send_pickle((op, args, kwargs))
+            reply = read_payload(transport, timeout_s=self.call_timeout_s)
+            if reply is None:
+                raise PeerGone(f"peer {transport.peer} closed instead of replying")
         except PeerGone as exc:
             self.close()
             raise DaemonUnavailable(f"daemon at {self.url} went away during {op!r}: {exc}") from exc

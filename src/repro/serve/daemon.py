@@ -14,9 +14,11 @@ the workers), and lets two kinds of peers dial in:
   request ops (``estimate``/``predict``/``rollout``/registration/
   stats) bridged onto the gateway's asyncio loop — one connection, one
   handler thread, requests resolved through the same micro-batcher as
-  every other client's;
-- **workers** (``repro-soc worker --connect``): a ``worker_hello``
-  frame flips the connection's roles — the daemon wraps the transport
+  every other client's.  This is the one link still pickled, so the
+  listener must only face trusted networks;
+- **workers** (``repro-soc worker --connect``): a v2 ``worker_hello``
+  frame, answered with a v2 ``ok`` (so the worker never unpickles),
+  flips the connection's roles — the daemon wraps the transport
   in a :class:`~repro.serve.workers.ShardWorker` built from its
   ``worker_spec`` and the dialer becomes a served shard.  Registration
   by name makes restart-by-reconnect work: a worker that crashes and
@@ -42,9 +44,11 @@ import dataclasses
 import threading
 
 from ..monitor.autopilot import ControlLoop
+from . import wire
+from .client import read_payload
 from .gateway import SocGateway
 from .transport import Transport, TransportError, TransportListener, TransportTimeout
-from .workers import WorkerSpec, _build_model, _control_op
+from .workers import WorkerSpec, _build_model
 
 __all__ = ["SocDaemon", "run_daemon"]
 
@@ -72,6 +76,22 @@ _CLIENT_OPS = (
     "rollback",
     "shutdown",
 )
+
+
+def _control_op(frame) -> tuple:
+    """Unpack a client request into ``(op, args, kwargs)``; ``ValueError`` for anything else.
+
+    The connection handler answers that with an ``err`` reply instead of dying on the unpack.
+    """
+    if (
+        isinstance(frame, tuple)
+        and len(frame) == 3
+        and isinstance(frame[0], str)
+        and isinstance(frame[1], (tuple, list))
+        and isinstance(frame[2], dict)
+    ):
+        return frame
+    raise ValueError(f"malformed control frame: expected (op, args, kwargs), got {type(frame).__name__}")
 
 
 class SocDaemon:
@@ -307,28 +327,27 @@ class SocDaemon:
                 if not transport.wait_readable(timeout_s=0.25):
                     continue
                 try:
-                    frame = transport.recv_frame()
+                    frame = read_payload(transport)
                 except TransportError:
                     break
                 if frame is None:
                     break
+                if isinstance(frame, wire.V2Frame) and frame.kind == "worker_hello":
+                    # role flip: the dialer is a worker, not a client.
+                    # Reply first (the worker waits for the ack before
+                    # serving), then hand the transport to the fleet.
+                    try:
+                        transport.send_v2("ok", {"value": "attach"})
+                        self._attach_worker(str(frame.meta.get("name", "worker")), transport)
+                    except Exception:
+                        break
+                    handed_off = True
+                    return  # the transport now belongs to the shard worker
                 try:
                     op, args, kwargs = _control_op(frame)
                 except ValueError as exc:
                     op, reply = None, ("err", "ValueError", str(exc))
                 else:
-                    if op == "worker_hello":
-                        # role flip: the dialer is a worker, not a client.
-                        # Reply first (the worker waits for the ack before
-                        # serving), then hand the transport to the fleet.
-                        name = args[0] if args else kwargs.get("name", "worker")
-                        try:
-                            transport.send_pickle(("ok", "attach"))
-                            self._attach_worker(str(name), transport)
-                        except Exception:
-                            break
-                        handed_off = True
-                        return  # the transport now belongs to the shard worker
                     try:
                         reply = ("ok", self._dispatch(op, args, kwargs))
                     except Exception as exc:
@@ -436,13 +455,14 @@ class SocDaemon:
     def _publish(
         self,
         name: str,
-        model_spec: dict,
+        model_meta: dict,
+        model_arrays: list,
         chemistry: str | None = None,
         dataset: str | None = None,
         extra: dict | None = None,
         channel: str = "stable",
     ) -> int:
-        """Publish a candidate shipped as a wire spec; returns its version.
+        """Publish a candidate shipped in its wire form; returns its version.
 
         A canary-channel publish for the autopilot's model routes
         through its :class:`~repro.serve.canary.CanaryController`
@@ -450,7 +470,7 @@ class SocDaemon:
         retrain pipeline starts a *steered* canary rather than racing
         the control loop on ``channels.json``.
         """
-        model = _build_model(model_spec)
+        model = _build_model(model_meta, model_arrays)
         if model is None:
             raise ValueError("publish needs a model spec (config + weights)")
         if channel == "canary":

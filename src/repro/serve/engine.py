@@ -79,6 +79,20 @@ class CellState:
     last_seen_s: float | None = None
     n_requests: int = 0
 
+    # each record field's JSON type(s), for records read from outside (worker peers)
+    RECORD_TYPES = {"id": str, "chem": (str, type(None)), "key": str,
+                    "soc": (int, float, type(None)), "seen": (int, float, type(None)), "n": int}
+
+    def record(self) -> dict:
+        """The state as one JSON record: a journal ``cell`` line's fields and its wire form."""
+        return {"id": self.cell_id, "chem": self.chemistry, "key": self.model_key,
+                "soc": self.soc, "seen": self.last_seen_s, "n": self.n_requests}
+
+    @classmethod
+    def from_record(cls, record: dict) -> CellState:
+        """Rebuild a state from :meth:`record` output."""
+        return cls(record["id"], record["chem"], record["key"], record["soc"], record["seen"], record["n"])
+
 
 class FleetEngine:
     """Batched multi-cell server over one or more two-branch models.
@@ -260,6 +274,9 @@ class FleetEngine:
             Pin the cell to a specific registry model, bypassing
             resolution.
         """
+        if "\x00" in cell_id:
+            # ids cross the worker wire NUL-joined (wire.encode_str_list)
+            raise ValueError(f"cell id {cell_id!r} contains NUL")
         key = self._resolve_key(chemistry, model_name)
         new = cell_id not in self._cells
         state = CellState(cell_id=cell_id, chemistry=chemistry, model_key=key)

@@ -8,7 +8,9 @@ accumulated trajectory).  :class:`StateJournal` makes that state
 durable with the classic write-ahead pattern:
 
 - every mutation of a :class:`~repro.serve.engine.CellState` appends a
-  one-line JSON record to an append-only file (``cell`` ops);
+  one-line JSON record to an append-only file (``cell`` ops; the fields
+  are :meth:`CellState.record() <repro.serve.engine.CellState.record>`,
+  the same record a cell's state crosses the worker wire as);
 - fleet rollouts additionally stream their per-window recursion state
   (``w`` ops, one per cell per window) behind a ``rollout`` marker, so
   a crash mid-rollout loses at most the window being computed;
@@ -168,15 +170,7 @@ class StateJournal:
         """
         records = []
         for state in states:
-            record = {
-                "op": "cell",
-                "id": state.cell_id,
-                "chem": state.chemistry,
-                "key": state.model_key,
-                "soc": state.soc,
-                "seen": state.last_seen_s,
-                "n": state.n_requests,
-            }
+            record = {"op": "cell", **state.record()}
             self._cells[state.cell_id] = record
             records.append(record)
         self._append_many(records)
@@ -252,17 +246,7 @@ class StateJournal:
     # -- reading -------------------------------------------------------
     def snapshot(self) -> JournalSnapshot:
         """Current journal contents as detached copies."""
-        cells = {
-            cid: CellState(
-                cell_id=r["id"],
-                chemistry=r["chem"],
-                model_key=r["key"],
-                soc=r["soc"],
-                last_seen_s=r["seen"],
-                n_requests=r["n"],
-            )
-            for cid, r in self._cells.items()
-        }
+        cells = {cid: CellState.from_record(r) for cid, r in self._cells.items()}
         windows = {cid: dict(ws) for cid, ws in self._windows.items() if ws}
         return JournalSnapshot(cells=cells, windows=windows, step_s=self._step_s)
 

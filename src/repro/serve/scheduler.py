@@ -268,16 +268,23 @@ class MicroBatcher:
         setattr(self.stats, f"{trigger}_flushes", getattr(self.stats, f"{trigger}_flushes") + 1)
 
     def _attempt_batch(self, kind: str, batch: list[Request], now: float):
-        """Pre-flight the batch and serve the registered slice in one call.
+        """Serve the batch in one engine call; probe membership only after a ``KeyError``.
 
-        Requests for unregistered cells get their own error completions
-        up front, so one bad cell id neither sinks its batchmates nor
-        degrades them to per-request engine calls.  The membership
-        probes themselves touch the engine (an RPC per shard on a
-        process-backed fleet), which is why this whole attempt — not
-        just the batched run — sits under the caller's crash-recovery
-        umbrella.
+        Every engine raises ``KeyError`` for an unregistered cell before
+        touching state (a worker as an ``err`` reply), so an all-known
+        batch costs one call and no probes.  After a ``KeyError`` each
+        request's cell is probed once (a round trip on a worker fleet),
+        unregistered cells get their own error completions, and the rest
+        is served in one call.  On a :class:`~repro.serve.sharding.ShardedFleet`,
+        shards that ran before the failing shard are served twice on that
+        path, the crash retry's trade-off (see :meth:`_serve_batch`).  The
+        probes touch the engine, so the whole attempt sits under the
+        caller's crash-recovery umbrella.
         """
+        try:
+            return [(r, float(v), None) for r, v in zip(batch, self._run(kind, batch, now))]
+        except KeyError:
+            pass
         known = [r.cell_id in self.engine for r in batch]  # one probe per request
         rejected = [r for r, ok in zip(batch, known) if not ok]
         served = [r for r, ok in zip(batch, known) if ok]

@@ -1,19 +1,11 @@
 """URL-addressed worker transports: pipes, Unix sockets, TCP sockets.
 
-Until this module existed the shard-worker wire protocol
-(:mod:`repro.serve.wire`) only ever ran over one medium — the
-stdin/stdout pipes of a child the parent had just spawned — and the
-plumbing (stream handles, frame reads, broken-pipe handling, exit-code
-crash detection) was inlined in the pipe worker client.  That works for
-one machine; a fleet spanning hosts needs the same frames over real
-sockets, and a transport the parent did not spawn cannot be declared
-dead by ``waitpid``.
-
 :class:`Transport` is the seam: a tiny connection-oriented surface —
-``send_chunks`` / ``send_pickle`` / ``recv_frame`` / ``close`` — that
-carries the existing length-prefixed frame stream (pickle v1 control
-frames and v2 zero-copy bulk frames, byte-identical to the pipe
-protocol) over any medium, addressed by URL:
+``send_v2`` / ``recv_frame`` / ``close`` — that carries the
+length-prefixed v2 frame stream of :mod:`repro.serve.wire` over any
+medium, addressed by URL.  ``recv_frame`` decodes v2 only;
+``send_pickle`` and the raw ``recv_body`` serve the daemon's client
+link, the one link still pickled.  The media:
 
 - ``pipe://``            — parent<->child stdio pipes (the local fast
   path; spawn semantics stay with :class:`~repro.serve.workers.ShardWorker`);
@@ -184,21 +176,21 @@ class Transport:
             raise PeerGone(f"peer {self.peer} gone while sending: {exc}") from exc
 
     def send_pickle(self, payload) -> None:
-        """Write one v1 (pickled) frame."""
+        """Write one pickled frame (the daemon's client link only)."""
         body = wire.pickle_body(payload)
         self.send_chunks([wire.frame_header(len(body)), body])
 
-    def send_v2(self, kind: str, meta: dict, arrays) -> None:
-        """Write one v2 frame.
-
-        Encoding happens before any bytes hit the stream, so a
-        ``TypeError`` from non-v2-expressible content still leaves the
-        stream clean for the caller's pickle fallback.
-        """
+    def send_v2(self, kind: str, meta: dict, arrays=()) -> None:
+        """Write one v2 frame; it is encoded first, so a ``TypeError`` (non-JSON meta) writes nothing."""
         self.send_chunks(wire.encode_v2(kind, meta, arrays))
 
-    def recv_frame(self, timeout_s: float | None = None):
-        """Read one frame; ``None`` means the peer closed cleanly.
+    def recv_frame(self, timeout_s: float | None = None) -> wire.V2Frame | None:
+        """:meth:`recv_body`, decoded; a body that is not v2 raises ``ValueError``."""
+        body = self.recv_body(timeout_s)
+        return None if body is None else wire.decode_body(body)
+
+    def recv_body(self, timeout_s: float | None = None) -> bytes | None:
+        """Read one frame body, undecoded; ``None`` means the peer closed cleanly.
 
         Raises :class:`PeerGone` when the stream ends inside a frame
         (the peer died mid-message) and :class:`TransportTimeout` when
@@ -224,22 +216,18 @@ class Transport:
             self._set_read_timeout(None)
         if body is None:
             raise PeerGone(f"peer {self.peer} vanished mid-frame (partial frame discarded)")
-        return wire.decode_body(body)
+        return body
 
-    def request(self, payload, timeout_s: float | None = None):
-        """One pickled round-trip; the building block for heartbeats.
+    def request(self, kind: str, meta: dict | None = None, arrays=(), timeout_s: float | None = None):
+        """One v2 round trip: send a request frame, return the reply frame.
 
         A ``None`` reply (peer closed instead of answering) is
         promoted to :class:`PeerGone` — a request must be answered.
         """
-        return self.request_with(lambda t: t.send_pickle(payload), timeout_s=timeout_s)
+        return self.request_with(lambda t: t.send_v2(kind, meta or {}, arrays), timeout_s=timeout_s)
 
-    def request_with(self, send, timeout_s: float | None = None):
-        """A round-trip whose request ``send(transport)`` writes itself.
-
-        Same reply semantics as :meth:`request`; used by callers that
-        pre-encode their frames (the v2 zero-copy path).
-        """
+    def request_with(self, send, timeout_s: float | None = None) -> wire.V2Frame:
+        """A round trip whose request ``send(transport)`` writes itself (see :meth:`request`)."""
         send(self)
         reply = self.recv_frame(timeout_s=timeout_s)
         if reply is None:

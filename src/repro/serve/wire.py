@@ -1,17 +1,8 @@
-"""Worker wire codec: length-prefixed frames, pickle (v1) and zero-copy (v2).
+"""Worker wire codec: length-prefixed v2 frames, JSON meta plus raw arrays.
 
-The :class:`~repro.serve.workers.ShardWorker` protocol
-frames every message as a 4-byte big-endian length plus a body.  PR 3
-shipped one body format — a pickle of ``(op, args, kwargs)`` — which is
-fine for control traffic but wasteful for the bulk inference messages:
-pickling a numpy array walks the object graph, copies the payload into
-the pickle stream, and on receive copies it *again* out of the stream
-into a fresh array.
-
-The **v2 frame format** added here keeps the outer framing and replaces
-the body for bulk messages (``estimate`` / ``predict`` /
-``rollout_fleet`` / ``resume_rollout_fleet`` and their replies) with a
-struct header plus raw array bytes::
+Every message between a :class:`~repro.serve.workers.ShardWorker` and
+its worker, control ops and bulk inference alike, is one frame: a
+4-byte big-endian length plus a **v2 body**::
 
     body    := magic=0xB2 (1B) | version (1B) | meta_len (>I) | n_arrays (>H)
                | meta (UTF-8 JSON, meta_len bytes)
@@ -21,25 +12,29 @@ struct header plus raw array bytes::
                 "meta":   <kind-specific JSON object>,
                 "arrays": [{"dtype": "<f8", "shape": [n, ...]}, ...]}
 
-The sender writes the header, the JSON block and then each array's
-buffer straight from the array memory (no intermediate pickle stream);
-the receiver decodes each payload with :func:`numpy.frombuffer` over
-the received body — a *view*, not a copy, so a 1,000-cell estimate
-batch or a fleet's rollout trajectories cross the pipe with zero
-per-element Python work and zero decode-side copies.  Decoded arrays
-are read-only (they alias the frame buffer); engine code treats inputs
-as immutable, results are copied out at the worker API boundary (so
-callers get writable arrays, as from an in-process engine), and
-float64 payloads round-trip **bit-for-bit** — the property the worker
-equivalence suite pins.
+Control ops (``init``, registration, state migration, ``ping``, ...)
+carry their fields in the kind-specific JSON object and usually no
+arrays; the per-op schemas live in :mod:`repro.serve.workers`.  Bulk
+ops (``estimate`` / ``predict`` / ``rollout_fleet`` /
+``resume_rollout_fleet`` and their replies) ship everything O(cells)
+as raw arrays: the sender writes each array's buffer straight from
+its memory, and the receiver decodes each payload with
+:func:`numpy.frombuffer` over the received body, a *view* rather than
+a copy.  A 1,000-cell estimate batch or a fleet's rollout
+trajectories cross the link with no per-element Python work.  Decoded
+arrays are read-only (they alias the frame buffer); engine code
+treats inputs as immutable, results are copied out at the worker API
+boundary, and float64 payloads round-trip **bit-for-bit**, the
+property the worker equivalence suite pins.
 
-Both formats coexist on one pipe: a pickle body starts with the
-protocol-2+ opcode ``0x80``, a v2 body with the magic ``0xB2``, so
-:func:`read_frame` dispatches on the first byte.  Control ops (init,
-shutdown, registration, state migration) stay on pickle — they are
-rare and structural — and anything v2 cannot express (e.g. cycle tags
-that are not JSON) falls back to pickle per message, never per
-session.
+:func:`decode_body` accepts v2 bodies only.  Any other first byte
+raises ``ValueError`` before the rest of the body is looked at, so
+nothing a worker receives can execute code on it: the worker never
+unpickles.  :func:`pickle_body` remains as the encoder of the one
+link still pickled, the daemon's client link
+(:class:`~repro.serve.client.SocClient` to
+:class:`~repro.serve.daemon.SocDaemon`), which decodes its own
+frames (:func:`repro.serve.client.read_payload`).
 
 **Trace context.**  The kind-specific ``meta`` block is free-form
 JSON, so distributed-tracing context rides as one optional meta key
@@ -48,8 +43,7 @@ triple from :func:`pack_trace_context`.  Replies from a
 trace-enabled worker may carry the sibling key ``"spans"`` — span
 dicts recorded in the child, re-joined to the parent's trace via
 :meth:`repro.monitor.tracing.SpanTracer.absorb`.  Decoders ignore
-both keys; pickle-fallback messages carry no trace context (those
-paths stay untraced).
+both keys.
 """
 
 from __future__ import annotations
@@ -79,7 +73,6 @@ __all__ = [
     "frame_length",
     "pickle_body",
     "decode_body",
-    "write_pickle",
     "write_v2",
     "encode_v2",
     "encode_str_list",
@@ -101,6 +94,10 @@ _V2_DTYPE = re.compile(rf"[<>|][{_V2_KINDS}][0-9]{{1,2}}")  # what ``dtype.str``
 # a frame body is under 4 GiB, so no array with a payload has a
 # dimension past 2**32; the bound keeps numpy's shape math in range
 _MAX_DIM = 1 << 32
+
+# built once: every worker op pays the JSON meta twice per round trip
+_JSON_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+_JSON_DECODE = json.JSONDecoder().decode
 
 # Optional meta key carrying trace context across the process boundary.
 TRACE_META_KEY = "tc"
@@ -141,9 +138,6 @@ def read_exact(stream, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
-_read_exact = read_exact  # internal alias, kept for call-site brevity
-
-
 def frame_header(body_length: int) -> bytes:
     """The 4-byte length prefix for a ``body_length``-byte frame body."""
     return _LENGTH.pack(body_length)
@@ -156,59 +150,48 @@ def frame_length(header: bytes) -> int:
 
 
 def pickle_body(payload) -> bytes:
-    """A v1 frame body: the payload pickled at the highest protocol."""
+    """A pickled frame body, for the daemon's client link only (never a worker)."""
     return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def decode_body(body: bytes):
-    """Decode one frame body: a :class:`V2Frame` or an unpickled payload.
+def decode_body(body: bytes) -> V2Frame:
+    """Decode one v2 frame body into a :class:`V2Frame`.
 
-    The first byte dispatches — ``0xB2`` is the v2 magic, ``0x80`` the
-    pickle protocol-2+ opcode — exactly as the stream-level
-    :func:`read_frame` always did; transports that read bodies
-    themselves (for torn-stream detection) decode through this.
-
-    A malformed v2 body (truncated, inconsistent header and meta,
-    negative dimensions, payload sizes that disagree with the body
-    length) raises ``ValueError``, as does an empty body.
+    Transports that read bodies themselves (for torn-stream detection)
+    decode through this.  A body that is not v2 (any other first
+    byte: a pickle, say) raises ``ValueError`` before anything in it
+    is interpreted, as do an empty body and a malformed v2 body
+    (truncated, inconsistent header and meta, negative dimensions,
+    payload sizes that disagree with the body length).
     """
-    if not body:
-        raise ValueError("empty frame body")
-    if body[:1] == bytes([V2_MAGIC]):
-        return _decode_v2(body)
-    return pickle.loads(body)
+    if body[:1] != bytes([V2_MAGIC]):
+        raise ValueError(f"not a v2 frame body (first byte {body[:1].hex() or 'missing'})")
+    return _decode_v2(body)
 
 
-def read_frame(stream):
-    """Read one frame; a pickle payload, a :class:`V2Frame`, or ``None`` on EOF."""
-    header = _read_exact(stream, _LENGTH.size)
+def read_frame(stream) -> V2Frame | None:
+    """Read one frame from a binary stream; ``None`` on EOF."""
+    header = read_exact(stream, _LENGTH.size)
     if header is None:
         return None
-    body = _read_exact(stream, frame_length(header))
+    body = read_exact(stream, frame_length(header))
     if body is None:
         return None
     return decode_body(body)
-
-
-def write_pickle(stream, payload) -> None:
-    """Write one v1 frame (a pickled payload)."""
-    body = pickle_body(payload)
-    stream.write(_LENGTH.pack(len(body)) + body)
-    stream.flush()
 
 
 def encode_v2(kind: str, meta: dict, arrays: Sequence[np.ndarray]) -> list:
     """Serialize a v2 message into write-ready buffers.
 
     Fully serializes (including the JSON meta block) **before**
-    returning, so a ``TypeError`` from non-JSON meta surfaces while the
-    stream is still clean and the caller can fall back to pickle.
-    Returns ``[header+meta bytes, array buffer, ...]``; array buffers
-    are memoryviews of the (C-contiguous) array memory — no copy.
+    returning, so a ``TypeError`` from non-JSON meta or arrays surfaces
+    while the stream is still clean and the caller sees a typed error
+    instead of a torn link.  Returns ``[header+meta bytes, array
+    buffer, ...]``; array buffers are memoryviews of the (C-contiguous)
+    array memory — no copy.
     """
     if len(arrays) > 0xFFFF:
-        # n_arrays is a 2-byte field; a rollout request carrying more
-        # unique cycles than that degrades to a pickle frame instead
+        # n_arrays is a 2-byte field
         raise TypeError(f"{len(arrays)} arrays exceed the v2 frame limit of 65535")
     blocks: list = []
     specs = []
@@ -219,7 +202,7 @@ def encode_v2(kind: str, meta: dict, arrays: Sequence[np.ndarray]) -> list:
         specs.append({"dtype": array.dtype.str, "shape": list(array.shape)})
         if array.size:  # empty views cannot be byte-cast; they carry no payload
             blocks.append(memoryview(array).cast("B"))
-    meta_b = json.dumps({"kind": kind, "meta": meta, "arrays": specs}, separators=(",", ":")).encode("utf-8")
+    meta_b = _JSON_ENCODE({"kind": kind, "meta": meta, "arrays": specs}).encode("utf-8")
     head = _V2_HEAD.pack(V2_MAGIC, V2_VERSION, len(meta_b), len(arrays))
     length = _V2_HEAD.size + len(meta_b) + sum(len(b) for b in blocks)
     return [_LENGTH.pack(length) + head + meta_b, *blocks]
@@ -243,7 +226,7 @@ def _decode_v2(body: bytes) -> V2Frame:
     if offset + meta_len > len(body):
         raise ValueError(f"v2 meta block of {meta_len} bytes runs past the {len(body)}-byte body")
     try:
-        info = json.loads(body[offset : offset + meta_len].decode("utf-8"))
+        info = _JSON_DECODE(body[offset : offset + meta_len].decode("utf-8"))
     except RecursionError as exc:
         raise ValueError("v2 meta nests too deeply") from exc
     offset += meta_len
@@ -296,8 +279,9 @@ def encode_str_list(items: Sequence[str]) -> np.ndarray:
     Raises
     ------
     TypeError
-        When an item contains the NUL separator — the caller falls
-        back to a pickle frame for that message.
+        When an item contains the NUL separator.  No registered cell
+        id does (:meth:`FleetEngine.register_cell
+        <repro.serve.engine.FleetEngine.register_cell>` refuses them).
     """
     joined = "\x00".join(items)
     if joined.count("\x00") != max(len(items) - 1, 0):
@@ -337,8 +321,10 @@ def encode_rollout_request(
     decoder rebuilds the sharing (so the engine's per-trace plan cache
     works in the child exactly as in-process).  Only the per-*cycle*
     scalars and tags ride in the JSON meta; the O(cells) pair list is
-    two raw blocks (an id blob and a cycle-index array), and the
-    recorded channels are raw float payloads.
+    two raw blocks (an id blob and a cycle-index array), and each
+    recorded channel is one array stacked across cycles, split by a
+    ``(cycles, channels)`` lengths array.  The array count is constant,
+    however many unique cycles a request carries.
     """
     cycle_index: dict[int, int] = {}
     cycles: list[CycleRecord] = []
@@ -350,38 +336,50 @@ def encode_rollout_request(
             cycles.append(cycle)
         cell_ids.append(cell_id)
         cycle_of.append(u)
-    specs = []
-    arrays: list[np.ndarray] = [
+    specs = [
+        {
+            "name": cycle.name,
+            "split": cycle.split,
+            "ambient_c": cycle.ambient_c,
+            "sampling_period_s": cycle.sampling_period_s,
+            "capacity_ah": cycle.capacity_ah,
+            "tags": cycle.tags,
+            "stopped_early": bool(cycle.data.stopped_early),
+            "stop_reason": cycle.data.stop_reason,
+        }
+        for cycle in cycles
+    ]
+    channels = [[np.asarray(getattr(cycle.data, name)) for cycle in cycles] for name in _CHANNELS]
+    lengths = np.array([[len(c) for c in per_cycle] for per_cycle in channels], dtype=np.int64).T
+    arrays = [
         encode_str_list(cell_ids),
         np.asarray(cycle_of, dtype=np.int64),
+        lengths,
+        *(np.concatenate(per_cycle) if per_cycle else np.empty(0) for per_cycle in channels),
     ]
-    for cycle in cycles:
-        specs.append(
-            {
-                "name": cycle.name,
-                "split": cycle.split,
-                "ambient_c": cycle.ambient_c,
-                "sampling_period_s": cycle.sampling_period_s,
-                "capacity_ah": cycle.capacity_ah,
-                "tags": cycle.tags,
-                "stopped_early": bool(cycle.data.stopped_early),
-                "stop_reason": cycle.data.stop_reason,
-            }
-        )
-        arrays.extend(np.asarray(getattr(cycle.data, channel)) for channel in _CHANNELS)
     return {"step_s": float(step_s), "n_pairs": len(cell_ids), "cycles": specs}, arrays
 
 
 def decode_rollout_request(meta: dict, arrays: Sequence[np.ndarray]) -> tuple[list, float]:
     """Rebuild ``(cell_id, cycle)`` assignments from a v2 rollout frame."""
     cell_ids = decode_str_list(arrays[0], int(meta["n_pairs"]))
-    cycle_of = arrays[1]
+    cycle_of, lengths, stacked = arrays[1], arrays[2], arrays[3:]
+    n_cycles = len(meta["cycles"])
+    if (
+        len(stacked) != len(_CHANNELS)
+        or lengths.shape != (n_cycles, len(_CHANNELS))
+        or (lengths < 0).any()
+        or [int(n) for n in lengths.sum(axis=0)] != [len(channel) for channel in stacked]
+    ):
+        raise ValueError("rollout frame's channel lengths disagree with its payloads")
+    bounds = np.cumsum(lengths, axis=0)[:-1]
+    split = [np.split(channel, bounds[:, c]) for c, channel in enumerate(stacked)]
     cycles = []
-    stride = len(_CHANNELS)
     for k, spec in enumerate(meta["cycles"]):
-        channels = dict(zip(_CHANNELS, arrays[2 + stride * k : 2 + stride * (k + 1)]))
         data = SimulationResult(
-            stopped_early=spec["stopped_early"], stop_reason=spec["stop_reason"], **channels
+            stopped_early=spec["stopped_early"],
+            stop_reason=spec["stop_reason"],
+            **{name: split[c][k] for c, name in enumerate(_CHANNELS)},
         )
         cycles.append(
             CycleRecord(

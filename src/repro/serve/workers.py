@@ -24,30 +24,23 @@ duck-typed interface over the length-prefixed frame protocol
   (``spawn=True``) or dial a running worker, and
   :meth:`ShardWorker.from_transport` adopts a worker that dialed in.
 
-Wire protocol (one reply per request, strictly in order; see
-:mod:`repro.serve.wire` for the codec)::
+Wire protocol: one v2 frame (:mod:`repro.serve.wire`) per request and
+one per reply, strictly in order.  A request's kind names the op; the
+reply is ``ok`` (meta ``{"value": ...}`` or arrays) or ``err`` (meta
+``{"type", "message"}``).  Every op has one request schema
+(``_REQUESTS``, checked before the op runs) and one reply shape;
+``src/repro/serve/README.md`` tabulates both.  A cell's state crosses
+as :meth:`CellState.record() <repro.serve.engine.CellState.record>`,
+the record the journal writes.
 
-    frame   := header body
-    header  := 4-byte big-endian unsigned length of body
-    body    := pickle of the payload          (v1: control ops)
-             | 0xB2 struct header + raw arrays (v2: bulk ops)
-    request := (op, args, kwargs)             (v1)
-             | V2Frame(kind, meta, arrays)    (v2)
-    reply   := ("ok", value) | ("err", exc_type_name, message)
-             | V2Frame("ok", meta, arrays)
-
-Control traffic (init, registration, state migration, shutdown) stays
-pickled — both ends are the same codebase on a private link — while
-the bulk inference messages (``estimate``/``predict``/
-``rollout_fleet``/``resume_rollout_fleet``) use **v2 zero-copy
-frames**: struct header plus raw array bytes, decoded with
-``np.frombuffer`` instead of unpickling.  Anything v2 cannot express
-(non-JSON cycle tags) falls back to pickle for that message.  The
-serving side is :class:`WorkerEndpoint` — the dispatch loop
-``worker_main`` (pipes) and :func:`run_worker` (socket listener, the
-``repro-soc worker`` entry point) both run.  A control frame that is
-not an ``(op, args, kwargs)`` triple is answered with an ``err`` reply;
-the loop keeps serving.
+The serving side is :class:`WorkerEndpoint`, one dispatcher keyed on
+the frame's kind, run by ``worker_main`` (pipes) and :func:`run_worker`
+(socket listener).  A body that is not a v2 frame ends its connection
+unread, so nothing a worker receives can execute code on it; a frame
+that fails (unknown op, meta off its schema, an engine error) gets an
+``err`` reply.  The link is unauthenticated: a peer that reaches a
+listener can drive the engine and name the paths ``init`` opens, so
+listeners belong on trusted networks only.
 
 Failure semantics:
 
@@ -87,6 +80,7 @@ from ..core.config import ModelConfig
 from ..core.model import TwoBranchSoCNet
 from ..core.rollout import RolloutResult
 from ..datasets.base import CycleRecord
+from ..monitor.drift import DriftEvent
 from ..monitor.tracing import activate
 from ..monitor.tracing import stage as trace_stage
 from . import wire
@@ -137,23 +131,31 @@ def _wire_col(col) -> np.ndarray:
 
 
 # -- model shipping ----------------------------------------------------
-def _model_spec(model: TwoBranchSoCNet | None) -> dict | None:
-    """Serializable description of a model (config + weights)."""
+def _model_wire(model: TwoBranchSoCNet | None) -> tuple[dict | None, list[np.ndarray]]:
+    """A model as v2 meta + arrays: config and parameter names, then the weights."""
     if model is None:
-        return None
-    return {
+        return None, []
+    state = model.state_dict()
+    meta = {
         "hidden": list(model.config.hidden),
         "horizon_scale_s": float(model.config.horizon_scale_s),
-        "state": model.state_dict(),
+        "names": list(state),
     }
+    return meta, list(state.values())
 
 
-def _build_model(spec: dict | None) -> TwoBranchSoCNet | None:
-    if spec is None:
+def _build_model(meta: dict | None, arrays: Sequence[np.ndarray]) -> TwoBranchSoCNet | None:
+    """Rebuild a :func:`_model_wire` model; ``ValueError`` when the two disagree."""
+    if meta is None:
         return None
-    config = ModelConfig(hidden=tuple(spec["hidden"]), horizon_scale_s=spec["horizon_scale_s"])
-    model = TwoBranchSoCNet(config, rng=np.random.default_rng(0))
-    model.load_state_dict(spec["state"])
+    hidden = meta["hidden"]
+    # the widths size every layer the model allocates: bound them by the
+    # weights the frame carries before building anything (ModelConfig
+    # refuses non-positive widths, load_state_dict any shape mismatch)
+    if sum(a * b for a, b in zip(hidden, hidden[1:])) + sum(hidden) > sum(a.size for a in arrays):
+        raise ValueError(f"hidden widths {hidden} need more weights than the frame carries")
+    model = TwoBranchSoCNet(ModelConfig(tuple(hidden), meta["horizon_scale_s"]), rng=np.random.default_rng(0))
+    model.load_state_dict(dict(zip(meta["names"], arrays)))
     return model
 
 
@@ -161,53 +163,45 @@ class _WorkerClient:
     """Shared client half of the worker protocol over a :class:`Transport`.
 
     :class:`ShardWorker` owns the connection lifecycle (spawn/dial/reap)
-    through two hooks: ``self._transport`` (the live transport, or
-    ``None`` while down) and :meth:`_transport_failed`, which turns a
-    dead link into the :class:`WorkerCrashError` the caller sees.
-    Everything else — the engine RPC surface, v2 zero-copy encoding,
-    trace propagation — lives here, identical over pipes and sockets.
+    through ``self._transport`` (the live transport, or ``None`` while
+    down) and its ``_down_message`` / ``_transport_failed`` hooks, which
+    turn a dead link into the :class:`WorkerCrashError` the caller sees.
+    Everything else — the engine RPC surface, v2 encoding, trace
+    propagation — lives here, identical over pipes and sockets.
     """
 
     name: str = "shard"
     _transport: Transport | None = None
     _call_timeout_s: float | None = None
 
-    # -- connection hooks (subclass responsibility) --------------------
-    def _down_message(self, op: str) -> str:
-        raise NotImplementedError
-
-    def _transport_failed(self, op: str, exc: Exception) -> WorkerCrashError:
-        """Mark the link dead and describe the failure (for raising)."""
-        raise NotImplementedError
-
     # -- engine API (one RPC each) --------------------------------------
     def register_cell(
         self, cell_id: str, chemistry: str | None = None, model_name: str | None = None
     ) -> CellState:
         """Register a cell on the worker's engine (see ``FleetEngine``)."""
-        return self._call("register_cell", cell_id, chemistry=chemistry, model_name=model_name)
+        return self._state("register_cell", cell_id=cell_id, chemistry=chemistry, model_name=model_name)
 
     def deregister_cell(self, cell_id: str) -> CellState:
         """Remove a cell; returns its final state."""
-        return self._call("deregister_cell", cell_id)
+        return self._state("deregister_cell", cell_id=cell_id)
 
     def reroute_cell(self, cell_id: str, model_name: str | None = None) -> CellState:
         """Re-resolve a cell's serving model in place."""
-        return self._call("reroute_cell", cell_id, model_name=model_name)
+        return self._state("reroute_cell", cell_id=cell_id, model_name=model_name)
 
     def cell(self, cell_id: str) -> CellState:
         """State record for one registered cell (KeyError when unknown)."""
-        return self._call("cell", cell_id)
+        return self._state("cell", cell_id=cell_id)
 
     def cells(self) -> Iterator[CellState]:
         """Iterate detached copies of all cells' state records."""
-        return iter(self._call("cells"))
+        return map(CellState.from_record, self._call("cells"))
 
     def __len__(self) -> int:
         return int(self._call("len"))
 
     def __contains__(self, cell_id: str) -> bool:
-        return bool(self._call("contains", cell_id))
+        return bool(self._call("contains", cell_id=cell_id))
 
     def estimate(
         self,
@@ -219,23 +213,19 @@ class _WorkerClient:
     ) -> np.ndarray:
         """Batched Branch 1 on the worker (see ``FleetEngine.estimate``).
 
-        Ships the batch as a v2 zero-copy frame: one struct header, the
-        cell-id blob, and three raw float payloads — no pickling.
+        Ships the batch as one v2 frame: the cell-id blob and three raw
+        float payloads.
         """
         ids = list(cell_ids)
-        n = len(ids)
-        meta = {"n": n, "now_s": now_s}
+        meta = {"n": len(ids), "now_s": now_s}
         # the wire.request span covers encode + round-trip + decode; its
         # context rides in the frame meta so the worker's worker.* spans
-        # parent under it (the pickle fallback stays untraced)
+        # parent under it
         with trace_stage("wire.request", op="estimate") as h:
             if h is not None:
                 meta[wire.TRACE_META_KEY] = wire.pack_trace_context(h.ctx)
-            try:
-                payload = [wire.encode_str_list(ids), *(_wire_col(col) for col in (voltage, current, temp_c))]
-                reply = self._roundtrip(lambda t: t.send_v2("estimate", meta, payload), "estimate")
-            except TypeError:
-                return self._call("estimate", ids, voltage, current, temp_c, now_s=now_s)
+            payload = [wire.encode_str_list(ids), *(_wire_col(col) for col in (voltage, current, temp_c))]
+            reply = self._roundtrip("estimate", meta, payload)
             if h is not None:
                 h.ctx.tracer.absorb(reply.meta.get("spans") or ())
             # copy out of the frame body: callers get writable arrays, as
@@ -254,28 +244,14 @@ class _WorkerClient:
     ) -> np.ndarray:
         """Batched Branch 2 on the worker (see ``FleetEngine.predict``)."""
         ids = list(cell_ids)
-        n = len(ids)
-        meta = {"n": n, "has_soc": soc_now is not None, "commit": bool(commit), "now_s": now_s}
+        meta = {"n": len(ids), "has_soc": soc_now is not None, "commit": bool(commit), "now_s": now_s}
         with trace_stage("wire.request", op="predict") as h:
             if h is not None:
                 meta[wire.TRACE_META_KEY] = wire.pack_trace_context(h.ctx)
-            try:
-                arrays = [_wire_col(col) for col in (current_avg, temp_avg_c, horizon_s)]
-                if soc_now is not None:
-                    arrays.append(_wire_col(soc_now))
-                payload = [wire.encode_str_list(ids), *arrays]
-                reply = self._roundtrip(lambda t: t.send_v2("predict", meta, payload), "predict")
-            except TypeError:
-                return self._call(
-                    "predict",
-                    ids,
-                    current_avg,
-                    temp_avg_c,
-                    horizon_s,
-                    soc_now=soc_now,
-                    commit=commit,
-                    now_s=now_s,
-                )
+            arrays = [_wire_col(col) for col in (current_avg, temp_avg_c, horizon_s)]
+            if soc_now is not None:
+                arrays.append(_wire_col(soc_now))
+            reply = self._roundtrip("predict", meta, [wire.encode_str_list(ids), *arrays])
             if h is not None:
                 h.ctx.tracer.absorb(reply.meta.get("spans") or ())
             return reply.arrays[0].copy()
@@ -288,12 +264,13 @@ class _WorkerClient:
     ) -> dict[str, RolloutResult]:
         """Fleet rollout on the worker; numerically the in-process result.
 
-        Assignments ship as a v2 frame — deduplicated cycle channel
-        arrays plus a JSON pair list — and the reply streams every
-        trajectory back as three stacked arrays.  Cycles whose tags are
-        not JSON-safe fall back to the pickle frame for that call.
-        ``step_hook`` cannot cross the process boundary — use
-        :meth:`crash_after_window` for fault injection instead.
+        Assignments ship as a v2 frame — deduplicated cycle channels
+        stacked into raw arrays plus per-cycle JSON scalars and tags —
+        and the reply streams every trajectory back as three stacked
+        arrays.  Cycle tags must be JSON: others raise ``TypeError``
+        here, before any byte is written.  ``step_hook`` cannot cross
+        the process boundary — use :meth:`crash_after_window` for fault
+        injection instead.
         """
         return self._rollout_call("rollout_fleet", assignments, step_s, step_hook)
 
@@ -309,21 +286,14 @@ class _WorkerClient:
     def _rollout_call(self, op, assignments, step_s, step_hook) -> dict[str, RolloutResult]:
         if step_hook is not None:
             raise ValueError("step_hook cannot cross the process boundary")
-        pairs = list(assignments)
         with trace_stage("wire.request", op=op) as h:
-            try:
-                meta, arrays = wire.encode_rollout_request(pairs, float(step_s))
-                if h is not None:
-                    meta[wire.TRACE_META_KEY] = wire.pack_trace_context(h.ctx)
-                reply = self._roundtrip(lambda t: t.send_v2(op, meta, arrays), op)
-            except TypeError:
-                # something in the cycles is not v2-expressible; pickle it
-                return self._call(op, pairs, float(step_s))
-            if isinstance(reply, wire.V2Frame):
-                if h is not None:
-                    h.ctx.tracer.absorb(reply.meta.get("spans") or ())
-                return wire.decode_rollout_results(reply.meta, reply.arrays)
-            return reply
+            meta, arrays = wire.encode_rollout_request(assignments, float(step_s))
+            if h is not None:
+                meta[wire.TRACE_META_KEY] = wire.pack_trace_context(h.ctx)
+            reply = self._roundtrip(op, meta, arrays)
+            if h is not None:
+                h.ctx.tracer.absorb(reply.meta.get("spans") or ())
+            return wire.decode_rollout_results(reply.meta, reply.arrays)
 
     def metrics_snapshot(self) -> dict | None:
         """The worker engine's metrics snapshot (``None`` unless ``monitor``).
@@ -334,15 +304,14 @@ class _WorkerClient:
         """
         return self._call("metrics")
 
-    def drift_events(self) -> list:
+    def drift_events(self) -> list[DriftEvent]:
         """The worker monitor's drift-event ring (empty unless ``monitor``).
 
-        One ``drift_events`` round-trip;
-        :class:`~repro.monitor.drift.DriftEvent` records are frozen
-        dataclasses, so they travel the pickle channel intact and feed
-        the harvester / autopilot on the parent side.
+        One ``drift_events`` round-trip; each
+        :class:`~repro.monitor.drift.DriftEvent` crosses as its JSON
+        fields and feeds the harvester / autopilot on the parent side.
         """
-        return self._call("drift_events")
+        return [DriftEvent(**{**r, "trace_ids": tuple(r["trace_ids"])}) for r in self._call("drift_events")]
 
     def _adopt_state(self, state: CellState) -> None:
         """Install a migrating cell's state (rebalance protocol).
@@ -350,7 +319,7 @@ class _WorkerClient:
         A durable worker journals the adoption, so the migrated cell
         survives a restart of its *new* owner.
         """
-        self._call("adopt_state", state)
+        self._call("adopt_state", state=state.record())
 
     def _evict_state(self, cell_id: str) -> CellState:
         """Remove and return a migrating cell's state (rebalance protocol).
@@ -358,7 +327,7 @@ class _WorkerClient:
         A durable worker journals the drop, so a restart of the *old*
         owner cannot resurrect a cell the hash no longer routes to it.
         """
-        return self._call("evict_state", cell_id)
+        return self._state("evict_state", cell_id=cell_id)
 
     # -- fault injection -------------------------------------------------
     def crash_after_window(self, window: int) -> None:
@@ -368,28 +337,30 @@ class _WorkerClient:
         after the window's journal records flushed, before any
         shutdown path runs — simulating a mid-rollout process crash.
         """
-        self._call("crash_after", int(window))
+        self._call("crash_after", window=int(window))
 
     # ------------------------------------------------------------------
-    def _call(self, op: str, *args, **kwargs):
-        """One pickle-framed round-trip (control ops and fallbacks)."""
-        return self._roundtrip(lambda t: t.send_pickle((op, args, kwargs)), op)
+    def _call(self, op: str, **meta):
+        """One control round trip (a meta-only frame); returns the reply's ``value``."""
+        return self._roundtrip(op, meta).meta.get("value")
 
-    def _roundtrip(self, send: Callable[[Transport], None], op: str):
+    def _state(self, op: str, **meta) -> CellState:
+        return CellState.from_record(self._call(op, **meta))
+
+    def _roundtrip(self, op: str, meta: dict, arrays: Sequence[np.ndarray] = ()) -> wire.V2Frame:
         transport = self._transport
         if transport is None:
             raise WorkerCrashError(self._down_message(op))
         try:
-            reply = transport.request_with(send, timeout_s=self._call_timeout_s)
-        except TransportError as exc:
+            reply = transport.request(op, meta, arrays, timeout_s=self._call_timeout_s)
+        except (TransportError, ValueError) as exc:
+            # ValueError: the reply was not a v2 frame, so the link is
+            # no longer speaking this protocol
             raise self._transport_failed(op, exc) from exc
-        if isinstance(reply, wire.V2Frame):
+        if reply.kind == "ok":
             return reply
-        if reply[0] == "ok":
-            return reply[1]
-        _, exc_name, message = reply
-        exc_type = {"KeyError": KeyError, "ValueError": ValueError}.get(exc_name, RuntimeError)
-        raise exc_type(message)
+        exc_type = {"KeyError": KeyError, "ValueError": ValueError}.get(reply.meta.get("type"), RuntimeError)
+        raise exc_type(reply.meta.get("message"))
 
 
 class ShardWorker(_WorkerClient):
@@ -502,11 +473,10 @@ class ShardWorker(_WorkerClient):
         if transport is None or transport.closed:
             return False
         try:
-            reply = transport.request(("ping", (), {}), timeout_s=timeout_s)
-        except TransportError:
+            return transport.request("ping", timeout_s=timeout_s).meta.get("value") == "pong"
+        except (TransportError, ValueError):
             self._drop_link()
             return False
-        return reply == ("ok", "pong")
 
     def restart(self) -> None:
         """Respawn (or redial) a dead worker; its journal restores it.
@@ -538,7 +508,7 @@ class ShardWorker(_WorkerClient):
         """
         self._drop_link()
         self._transport = transport
-        self._call("init", self._init)
+        self._roundtrip("init", *self._init)
 
     def close(self, grace_s: float = 5.0) -> int | None:
         """Drain the worker and drop the link; reap a spawned child.
@@ -836,11 +806,12 @@ class WorkerSpec:
             return FleetEngine.restore(journal, **kwargs)
         return FleetEngine(journal=journal, **kwargs)
 
-    def _init_payload(self) -> dict:
-        """The ``init`` op's payload: the fields a worker child rebuilds this spec from.
+    def _init_payload(self) -> tuple[dict, list[np.ndarray]]:
+        """The ``init`` frame: the fields a worker child rebuilds this spec from.
 
-        Plain data only — paths, flags, the dtype name, and the model's
-        config and weights; in-process instances never cross the wire.
+        Plain data only — paths, flags and the dtype name in the meta,
+        with the model's config; its weights are the frame's arrays.
+        In-process instances never cross the wire.
         """
         if isinstance(self.journal, StateJournal):
             raise ValueError(
@@ -848,8 +819,9 @@ class WorkerSpec:
                 "not a StateJournal instance"
             )
         registry = self.registry.root if isinstance(self.registry, ModelRegistry) else self.registry
+        model, weights = _model_wire(self.model)
         return {
-            "model": _model_spec(self.model),
+            "model": model,
             "registry": None if registry is None else str(registry),
             "journal": None if self.journal is None else str(self.journal),
             "monitor": bool(self.monitor),
@@ -858,7 +830,7 @@ class WorkerSpec:
             "journal_segment_bytes": int(self.journal_segment_bytes),
             "drift_from_registry": bool(self.drift_from_registry),
             "dtype": np.dtype(self.dtype or "float64").name,
-        }
+        }, weights
 
     def _journal_path(self, shard: int | str):
         """Journal file of shard index ``shard`` (or of the inbound worker so named)."""
@@ -879,23 +851,49 @@ def _fill(template: str, shard: int) -> str:
 # -- worker side -------------------------------------------------------
 WORKER_ANNOUNCE = "worker listening on "
 
+_OPT_STR = (str, type(None))
+_OPT_NUM = (int, float, type(None))
+_CELL = {"cell_id": str}
+_ROLLOUT = {"step_s": (int, float), "n_pairs": int, "cycles": list}
+# The one request schema per worker op: each meta field the op reads and
+# its JSON type(s), checked before the op runs (serve/README.md also
+# tabulates the reply shapes).
+_REQUESTS: dict[str, dict] = {
+    "init": {
+        "model": (dict, type(None)),
+        "registry": _OPT_STR,
+        "journal": _OPT_STR,
+        "monitor": bool,
+        "trace": bool,
+        "archive_root": _OPT_STR,
+        "journal_segment_bytes": int,
+        "drift_from_registry": bool,
+        "dtype": str,
+    },
+    **dict.fromkeys(("shutdown", "ping", "metrics", "cells", "len", "drift_events"), {}),
+    **dict.fromkeys(("deregister_cell", "cell", "contains", "evict_state"), _CELL),
+    "register_cell": {**_CELL, "chemistry": _OPT_STR, "model_name": _OPT_STR},
+    "reroute_cell": {**_CELL, "model_name": _OPT_STR},
+    "adopt_state": {"state": dict},
+    "crash_after": {"window": int},
+    "estimate": {"n": int, "now_s": _OPT_NUM},
+    "predict": {"n": int, "has_soc": bool, "commit": bool, "now_s": _OPT_NUM},
+    "rollout_fleet": _ROLLOUT,
+    "resume_rollout_fleet": _ROLLOUT,
+}
+_BULK = ("estimate", "predict", "rollout_fleet", "resume_rollout_fleet")
+_ENGINELESS = ("init", "shutdown", "ping", "metrics", "crash_after")  # served before init
+_MISSING = object()
 
-def _control_op(frame) -> tuple:
-    """Unpack a v1 control frame into ``(op, args, kwargs)``.
 
-    Anything else — a bare pickle, a wrong-arity tuple, a v2 frame on
-    the control channel — raises ``ValueError``, which the serving
-    loops answer with an ``err`` reply instead of dying on the unpack.
-    """
-    if (
-        isinstance(frame, tuple)
-        and len(frame) == 3
-        and isinstance(frame[0], str)
-        and isinstance(frame[1], (tuple, list))
-        and isinstance(frame[2], dict)
-    ):
-        return frame
-    raise ValueError(f"malformed control frame: expected (op, args, kwargs), got {type(frame).__name__}")
+def _check_request(kind: str, meta: dict, schema: dict | None = None) -> None:
+    """Hold ``meta`` to ``kind``'s declared schema (``RuntimeError`` for an unknown op)."""
+    schema = _REQUESTS.get(kind) if schema is None else schema
+    if schema is None:
+        raise RuntimeError(f"unknown op {kind!r}")
+    for field, types in schema.items():
+        if not isinstance(meta.get(field, _MISSING), types):
+            raise ValueError(f"malformed {kind!r} frame: {field!r} must be {types}, got {meta.get(field)!r}")
 
 
 def _crash_hook(after_window: int) -> Callable[[int], None]:
@@ -931,17 +929,14 @@ class WorkerEndpoint:
             try:
                 frame = self.transport.recv_frame()
             except (TransportError, ValueError):
-                # the peer vanished mid-frame, or sent a malformed v2
-                # body: either way the connection is done, not the worker
+                # the peer vanished mid-frame, or sent a body that is not
+                # a v2 frame: either way the connection is done, not the worker
                 frame = None
             if frame is None:
                 self._close_journal()
                 return "closed"
             try:
-                if isinstance(frame, wire.V2Frame):
-                    self._serve_v2(frame)
-                    continue
-                if self._serve_v1(frame):
+                if self._serve_frame(frame):
                     return "shutdown"
             except TransportError:
                 # the peer died while we were replying; nothing to tell it
@@ -952,138 +947,21 @@ class WorkerEndpoint:
         if self.engine is not None and self.engine.journal is not None:
             self.engine.journal.close()
 
-    def _serve_v1(self, frame) -> bool:
-        """Dispatch one pickled control op; ``True`` means shutdown."""
-        engine = self.engine
-        try:
-            op, args, kwargs = _control_op(frame)
-            if op == "init":
-                fields = dict(args[0])
-                spec = WorkerSpec(model=_build_model(fields.pop("model")), **fields)
-                self.engine = spec.build_engine()
-                if spec.trace:
-                    from ..monitor.tracing import SpanTracer
-
-                    # recorder only: no head sampling, no metrics — the
-                    # parent commits traces and owns the rollup
-                    self._tracer = SpanTracer(sample_rate=0.0, service="worker")
-                result = "ready"
-            elif op == "shutdown":
-                self._close_journal()
-                self.transport.send_pickle(("ok", "bye"))
-                return True
-            elif op == "ping":
-                result = "pong"
-            elif op == "metrics":
-                result = None if engine is None else engine.metrics_snapshot()
-            elif op == "crash_after":
-                self._crash_after = int(args[0])
-                result = self._crash_after
-            elif engine is None:
-                raise RuntimeError(f"worker received {op!r} before 'init'")
-            elif op in ("rollout_fleet", "resume_rollout_fleet"):
-                hook = None if self._crash_after is None else _crash_hook(self._crash_after)
-                result = getattr(engine, op)(args[0], args[1], step_hook=hook)
-            elif op == "cells":
-                result = [dataclasses.replace(state) for state in engine.cells()]
-            elif op == "len":
-                result = len(engine)
-            elif op == "contains":
-                result = args[0] in engine
-            elif op == "adopt_state":
-                # unlike in-process shards (whose shared journal already
-                # holds the record), this worker's own journal must learn
-                # about cells migrating in — or a restart would lose them
-                engine._adopt_state(args[0])
-                if engine.journal is not None:
-                    engine.journal.append_cell(args[0])
-                result = None
-            elif op == "evict_state":
-                result = engine._evict_state(args[0])
-                if engine.journal is not None:
-                    engine.journal.drop_cell(args[0])
-            elif op in (
-                "register_cell",
-                "deregister_cell",
-                "reroute_cell",
-                "cell",
-                "estimate",
-                "predict",
-                "drift_events",
-            ):
-                result = getattr(engine, op)(*args, **kwargs)
-            else:
-                raise RuntimeError(f"unknown op {op!r}")
-        except TransportError:
-            raise
-        except Exception as exc:  # engine errors travel the wire, not the process
-            self.transport.send_pickle(("err", type(exc).__name__, str(exc)))
-        else:
-            self.transport.send_pickle(("ok", result))
-        return False
-
-    def _serve_v2(self, frame: wire.V2Frame) -> None:
-        """Dispatch one bulk (v2-framed) request and write its reply.
-
-        When the frame meta carries trace context and this worker was
-        built with ``trace=True``, the worker records
-        ``worker.deserialize`` / ``worker.compute`` /
-        ``worker.serialize`` spans against the propagated trace and
-        ships them back in the reply meta (``"spans"``).  The
-        serialize span covers reply-payload *assembly* only — the
-        spans ride inside the frame, so the frame write itself cannot
-        be timed from in here.  Timestamps are ``time.monotonic``,
-        machine-wide on Linux, so they align with the parent's spans.
-        """
-        engine, tracer = self.engine, self._tracer
-        kind, meta, arrays = frame.kind, frame.meta, frame.arrays
+    def _serve_frame(self, frame: wire.V2Frame) -> bool:
+        """Dispatch one request and write its reply; ``True`` means shutdown."""
+        kind, meta, tracer = frame.kind, frame.meta, self._tracer
         ctx = None
-        if tracer is not None and meta.get(wire.TRACE_META_KEY):
-            ctx = tracer.from_wire(meta[wire.TRACE_META_KEY])
         try:
-            if engine is None:
+            if tracer is not None and meta.get(wire.TRACE_META_KEY):
+                ctx = tracer.from_wire(meta[wire.TRACE_META_KEY])
+            _check_request(kind, meta)
+            if self.engine is None and kind not in _ENGINELESS:
                 raise RuntimeError(f"worker received {kind!r} before 'init'")
-            t0 = time.monotonic()
-            if kind == "estimate":
-                ids = wire.decode_str_list(arrays[0], meta["n"])
-                if ctx is not None:
-                    tracer.record(ctx, "worker.deserialize", t0, time.monotonic(), op=kind)
-                with activate(ctx), trace_stage("worker.compute", op=kind):
-                    out = engine.estimate(ids, arrays[1], arrays[2], arrays[3], now_s=meta["now_s"])
-                reply_meta, reply_arrays = {}, [out]
-            elif kind == "predict":
-                ids = wire.decode_str_list(arrays[0], meta["n"])
-                if ctx is not None:
-                    tracer.record(ctx, "worker.deserialize", t0, time.monotonic(), op=kind)
-                with activate(ctx), trace_stage("worker.compute", op=kind):
-                    out = engine.predict(
-                        ids,
-                        arrays[1],
-                        arrays[2],
-                        arrays[3],
-                        soc_now=arrays[4] if meta["has_soc"] else None,
-                        commit=meta["commit"],
-                        now_s=meta["now_s"],
-                    )
-                reply_meta, reply_arrays = {}, [out]
-            elif kind in ("rollout_fleet", "resume_rollout_fleet"):
-                pairs, step_s = wire.decode_rollout_request(meta, arrays)
-                if ctx is not None:
-                    tracer.record(ctx, "worker.deserialize", t0, time.monotonic(), op=kind)
-                hook = None if self._crash_after is None else _crash_hook(self._crash_after)
-                with activate(ctx), trace_stage("worker.compute", op=kind):
-                    results = getattr(engine, kind)(pairs, step_s, step_hook=hook)
-                t_ser = time.monotonic()
-                reply_meta, reply_arrays = wire.encode_rollout_results(results)
-                if ctx is not None:
-                    tracer.record(ctx, "worker.serialize", t_ser, time.monotonic(), op=kind)
+            if kind in _BULK:
+                reply_meta, reply_arrays = self._bulk(kind, meta, frame.arrays, ctx)
             else:
-                raise RuntimeError(f"unknown v2 op {kind!r}")
+                reply_meta, reply_arrays = {"value": self._control(kind, meta, frame.arrays)}, []
             if ctx is not None:
-                if kind in ("estimate", "predict"):
-                    # zero-copy replies have no assembly step; the span marks
-                    # the (empty) serialize stage so trees stay uniform
-                    tracer.record(ctx, "worker.serialize", time.monotonic(), time.monotonic(), op=kind)
                 reply_meta["spans"] = tracer.drain(ctx.trace_id)
             self.transport.send_v2("ok", reply_meta, reply_arrays)
         except TransportError:
@@ -1091,24 +969,112 @@ class WorkerEndpoint:
         except Exception as exc:  # engine errors travel the wire, not the process
             if ctx is not None:
                 tracer.drain(ctx.trace_id)  # discard: never leak a live buffer on errors
-            self.transport.send_pickle(("err", type(exc).__name__, str(exc)))
+            self.transport.send_v2("err", {"type": type(exc).__name__, "message": str(exc)})
+            return False
+        return kind == "shutdown"
+
+    def _control(self, kind: str, meta: dict, arrays):
+        """Run one control op; returns the reply's JSON ``value``."""
+        engine = self.engine
+        if kind == "init":
+            fields = {field: meta[field] for field in _REQUESTS["init"] if field != "model"}
+            spec = WorkerSpec(model=_build_model(meta["model"], arrays), **fields)
+            self.engine = spec.build_engine()
+            if spec.trace:
+                from ..monitor.tracing import SpanTracer
+
+                # recorder only: no head sampling, no metrics — the
+                # parent commits traces and owns the rollup
+                self._tracer = SpanTracer(sample_rate=0.0, service="worker")
+            return "ready"
+        if kind == "shutdown":
+            self._close_journal()
+            return "bye"
+        if kind == "ping":
+            return "pong"
+        if kind == "metrics":
+            return None if engine is None else engine.metrics_snapshot()
+        if kind == "crash_after":
+            self._crash_after = meta["window"]
+            return self._crash_after
+        if kind in ("register_cell", "reroute_cell", "deregister_cell", "cell"):
+            # the schema's fields are the engine method's keyword arguments
+            return getattr(engine, kind)(**{field: meta[field] for field in _REQUESTS[kind]}).record()
+        if kind == "contains":
+            return meta["cell_id"] in engine
+        if kind == "adopt_state":
+            # unlike in-process shards (whose shared journal already holds
+            # the record), this worker's own journal must learn about cells
+            # migrating in — or a restart would lose them
+            _check_request(kind, meta["state"], CellState.RECORD_TYPES)
+            state = CellState.from_record(meta["state"])
+            engine._adopt_state(state)
+            if engine.journal is not None:
+                engine.journal.append_cell(state)
+            return None
+        if kind == "evict_state":
+            state = engine._evict_state(meta["cell_id"])
+            if engine.journal is not None:
+                engine.journal.drop_cell(meta["cell_id"])
+            return state.record()
+        if kind == "cells":
+            return [state.record() for state in engine.cells()]
+        if kind == "len":
+            return len(engine)
+        return [dataclasses.asdict(event) for event in engine.drift_events()]
+
+    def _bulk(self, kind: str, meta: dict, arrays, ctx) -> tuple[dict, list]:
+        """Run one bulk op; returns the reply's meta and arrays.
+
+        With trace context in the meta and ``trace=True``, records
+        ``worker.deserialize`` / ``worker.compute`` / ``worker.serialize``
+        spans (shipped back as ``"spans"``).  The serialize span covers
+        reply *assembly* only: the spans ride inside the frame, so its
+        write cannot be timed from in here.  Timestamps are
+        ``time.monotonic``, machine-wide on Linux, so they align with
+        the parent's spans.
+        """
+        engine, tracer = self.engine, self._tracer
+        t0 = time.monotonic()
+        if kind in ("estimate", "predict"):
+            ids = wire.decode_str_list(arrays[0], meta["n"])
+        else:
+            pairs, step_s = wire.decode_rollout_request(meta, arrays)
+        if ctx is not None:
+            tracer.record(ctx, "worker.deserialize", t0, time.monotonic(), op=kind)
+        with activate(ctx), trace_stage("worker.compute", op=kind):
+            if kind == "estimate":
+                out = engine.estimate(ids, *arrays[1:4], now_s=meta["now_s"])
+            elif kind == "predict":
+                soc_now = arrays[4] if meta["has_soc"] else None
+                commit, now_s = meta["commit"], meta["now_s"]
+                out = engine.predict(ids, *arrays[1:4], soc_now=soc_now, commit=commit, now_s=now_s)
+            else:
+                hook = None if self._crash_after is None else _crash_hook(self._crash_after)
+                results = getattr(engine, kind)(pairs, step_s, step_hook=hook)
+        # estimate/predict replies are zero-copy (no assembly step); their
+        # serialize span still marks the stage so trees stay uniform
+        t_ser = time.monotonic()
+        reply = ({}, [out]) if kind in ("estimate", "predict") else wire.encode_rollout_results(results)
+        if ctx is not None:
+            tracer.record(ctx, "worker.serialize", t_ser, time.monotonic(), op=kind)
+        return reply
 
 
-def worker_main(stdin=None, stdout=None) -> int:
+def worker_main() -> int:
     """Child-process serving loop over the stdio pipes.
 
     Runs until the parent closes the pipe (implicit drain) or sends the
     ``shutdown`` op (explicit drain: journal closed, reply sent, exit
     0).  Exposed as ``python -m repro.serve.workers``.
     """
-    rd = stdin if stdin is not None else sys.stdin.buffer
-    wr = stdout if stdout is not None else sys.stdout.buffer
+    rd, wr = sys.stdin.buffer, sys.stdout.buffer
     sys.stdout = sys.stderr  # stray prints must not corrupt the frame stream
     WorkerEndpoint(PipeTransport(wr, rd, peer="pipe://parent")).serve()
     return 0
 
 
-def run_worker(listen_url: str, once: bool = False, announce=None) -> int:
+def run_worker(listen_url: str, once: bool = False) -> int:
     """Standalone socket worker: bind, announce, serve (``repro-soc worker``).
 
     Binds ``listen_url`` (``tcp://host:port`` — port 0 for ephemeral —
@@ -1121,11 +1087,7 @@ def run_worker(listen_url: str, once: bool = False, announce=None) -> int:
     closes (tests).
     """
     listener = TransportListener(listen_url)
-    message = f"{WORKER_ANNOUNCE}{listener.url}"
-    if announce is not None:
-        announce(message)
-    else:
-        print(message, flush=True)
+    print(f"{WORKER_ANNOUNCE}{listener.url}", flush=True)
     sys.stdout = sys.stderr  # same hygiene as the pipe path, post-announce
     try:
         while True:
@@ -1181,13 +1143,13 @@ def run_worker_connect(
             time.sleep(min(connect_timeout_s, 1.0))
             continue
         try:
-            reply = transport.request(("worker_hello", (name,), {}), timeout_s=connect_timeout_s)
-        except TransportError:
+            reply = transport.request("worker_hello", {"name": name}, timeout_s=connect_timeout_s)
+        except (TransportError, ValueError):
             transport.close()
             if not reconnect:
                 return 1
             continue
-        if reply != ("ok", "attach"):
+        if reply.kind != "ok" or reply.meta.get("value") != "attach":
             transport.close()
             notify(f"daemon at {daemon_url} refused worker {name!r}: {reply!r}")
             return 1

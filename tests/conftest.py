@@ -6,6 +6,8 @@ same code paths.  Session scope keeps the cost to one generation per
 test run.
 """
 
+import pickle
+
 import pytest
 
 from repro.datasets import LGConfig, SandiaConfig, generate_lg, generate_sandia
@@ -59,3 +61,20 @@ def resolve_shard():
     for shard in built:
         if hasattr(shard, "close"):
             shard.close()
+
+
+class _CreatesMarker:
+    """Unpickling this creates a file: its ``__reduce__`` calls ``open``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+@pytest.fixture
+def marker_pickle(tmp_path):
+    """``(marker, body)``: a pickle body that creates ``marker`` if anything unpickles it."""
+    marker = tmp_path / "unpickled"
+    return marker, pickle.dumps(_CreatesMarker(marker))

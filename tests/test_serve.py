@@ -368,10 +368,11 @@ class TestMicroBatcher:
         assert len(done) == 1
         assert not done[0].ok and "unknown cell" in done[0].error
 
-    def test_membership_probed_once_per_request_per_attempt(self):
-        """On a worker fleet every ``in`` is a round trip, so one attempt
-        at a batch probes each request's cell exactly once — including
-        the retry after a worker crash, which is a second attempt."""
+    def test_membership_probed_only_after_a_key_error(self):
+        """On a worker fleet every ``in`` is a round trip, so an all-known
+        batch (and its retry after a worker crash) runs with no probes;
+        only a batch whose engine call raised ``KeyError`` probes each
+        request's cell, once."""
         from repro.serve.workers import WorkerCrashError
 
         class CountingEngine:
@@ -379,34 +380,44 @@ class TestMicroBatcher:
                 self.known = set(known)
                 self.crashes = crashes
                 self.probes = 0
+                self.calls = 0
 
             def __contains__(self, cell_id):
                 self.probes += 1
                 return cell_id in self.known
 
             def estimate(self, cell_ids, voltage, current, temp_c, now_s=None):
+                self.calls += 1
                 if self.crashes:
                     self.crashes -= 1
                     raise WorkerCrashError("worker died mid-batch")
+                unknown = [cid for cid in cell_ids if cid not in self.known]
+                if unknown:
+                    raise KeyError(f"unknown cell {unknown[0]!r}")
                 return np.full(len(cell_ids), 0.5)
 
-        ids = ["c0", "ghost", "c1", "c2"]
-        engine = CountingEngine(["c0", "c1", "c2"])
-        batcher = MicroBatcher(engine, max_batch=len(ids), max_delay_s=10.0, clock=FakeClock())
-        for cid in ids:
-            batcher.submit_estimate(cid, 3.7, 1.0, 25.0)
-        done = {c.cell_id: c for c in batcher.drain()}
-        assert engine.probes == len(ids)
-        assert not done["ghost"].ok and all(done[c].ok for c in ("c0", "c1", "c2"))
+        def run(ids, engine, **kwargs):
+            batcher = MicroBatcher(engine, max_batch=len(ids), max_delay_s=10.0, clock=FakeClock(), **kwargs)
+            for cid in ids:
+                batcher.submit_estimate(cid, 3.7, 1.0, 25.0)
+            return {c.cell_id: c for c in batcher.drain()}
 
-        engine = CountingEngine(["c0", "c1", "c2"], crashes=1)
-        batcher = MicroBatcher(
-            engine, max_batch=len(ids), max_delay_s=10.0, clock=FakeClock(), on_worker_crash=lambda: True
-        )
-        for cid in ids:
-            batcher.submit_estimate(cid, 3.7, 1.0, 25.0)
-        assert len(batcher.drain()) == len(ids)
-        assert engine.probes == 2 * len(ids)  # two attempts, one probe per request each
+        known = ["c0", "c1", "c2"]
+        engine = CountingEngine(known)
+        done = run(known, engine)
+        assert engine.probes == 0 and engine.calls == 1
+        assert all(done[c].ok for c in known)
+
+        ids = ["c0", "ghost", "c1", "c2"]
+        engine = CountingEngine(known)
+        done = run(ids, engine)
+        assert engine.probes == len(ids) and engine.calls == 2  # failed call, then the known slice
+        assert not done["ghost"].ok and all(done[c].ok for c in known)
+
+        engine = CountingEngine(known, crashes=1)
+        done = run(known, engine, on_worker_crash=lambda: True)
+        assert engine.probes == 0 and engine.calls == 2  # the crash, then the retry
+        assert all(done[c].ok for c in known)
 
     def test_rejects_bad_config(self, engine):
         with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from repro.serve import (
     SocClient,
     WorkerSpec,
 )
+from repro.serve.client import read_payload
 from repro.serve.daemon import SocDaemon
 from repro.serve.transport import connect
 from repro.serve.workers import run_worker_connect
@@ -237,8 +238,8 @@ class TestDaemonClients:
         acked (protocol) and then dropped, never half-adopted."""
         transport = connect(daemon.url, timeout_s=5.0)
         try:
-            transport.send_pickle(("worker_hello", ("stray",), {}))
-            assert transport.recv_frame(timeout_s=5.0) == ("ok", "attach")
+            reply = transport.request("worker_hello", {"name": "stray"}, timeout_s=5.0)
+            assert reply.kind == "ok" and reply.meta == {"value": "attach"}
             # the attach fails daemon-side (no worker_spec): it hangs up
             assert transport.recv_frame(timeout_s=5.0) is None
         finally:
@@ -249,11 +250,15 @@ class TestDaemonClients:
         """A v2 frame or a bare pickle on the control channel is answered
         with a typed error; the handler keeps serving that connection."""
         transport = connect(daemon.url, timeout_s=5.0)
+
+        def request(send):
+            send()
+            return read_payload(transport, timeout_s=5.0)
+
         try:
-            transport.send_v2("estimate", {"n": 0}, [])
-            assert transport.recv_frame(timeout_s=5.0)[:2] == ("err", "ValueError")
-            assert transport.request("ping", timeout_s=5.0)[:2] == ("err", "ValueError")
-            assert transport.request(("ping", (), {}), timeout_s=5.0) == ("ok", "pong")
+            assert request(lambda: transport.send_v2("estimate", {"n": 0}))[:2] == ("err", "ValueError")
+            assert request(lambda: transport.send_pickle("ping"))[:2] == ("err", "ValueError")
+            assert request(lambda: transport.send_pickle(("ping", (), {}))) == ("ok", "pong")
         finally:
             transport.close()
 

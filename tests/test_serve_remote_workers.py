@@ -116,8 +116,7 @@ class TestRemoteShardWorker:
         from repro.serve import wire
 
         # a canned transport that answers the init handshake
-        body = wire.pickle_body(("ok", None))
-        rd = io.BytesIO(wire.frame_header(len(body)) + body)
+        rd = io.BytesIO(b"".join(bytes(c) for c in wire.encode_v2("ok", {"value": "ready"}, [])))
         transport = PipeTransport(io.BytesIO(), rd, peer="inbound")
         worker = ShardWorker.from_transport(transport, WorkerSpec(model=model, name="inbound"))
         worker._drop_link()

@@ -83,11 +83,16 @@ class TestFraming:
         b.close()
 
     def test_pickle_round_trip(self, pair):
+        """Pickled frames (the daemon's client link) cross either medium
+        and decode through that link's reader, never through recv_frame."""
+        from repro.serve.client import read_payload
+
         a, b = pair
         a.send_pickle(("estimate", ("cell1", 3.7), {"temp_c": 25.0}))
-        assert b.recv_frame() == ("estimate", ("cell1", 3.7), {"temp_c": 25.0})
+        assert read_payload(b) == ("estimate", ("cell1", 3.7), {"temp_c": 25.0})
         b.send_pickle(("ok", [1.0, 2.0]))
-        assert a.recv_frame() == ("ok", [1.0, 2.0])
+        with pytest.raises(ValueError, match="not a v2 frame"):
+            a.recv_frame()
 
     def test_clean_close_reads_as_none(self, pair):
         a, b = pair
@@ -137,7 +142,7 @@ class TestFraming:
         thread = threading.Thread(target=server)
         thread.start()
         with pytest.raises(PeerGone, match="closed instead of replying"):
-            a.request(("ping", (), {}), timeout_s=5.0)
+            a.request("ping", timeout_s=5.0)
         thread.join()
 
     def test_wait_readable_idle_does_not_poison(self, pair):
@@ -145,19 +150,19 @@ class TestFraming:
         and the very next frame still parses."""
         a, b = pair
         assert b.wait_readable(timeout_s=0.05) is False
-        a.send_pickle(("hello", (), {}))
+        a.send_v2("hello", {})
         assert b.wait_readable(timeout_s=5.0) is True
-        assert b.recv_frame() == ("hello", (), {})
+        assert b.recv_frame().kind == "hello"
 
     def test_wait_readable_sees_buffered_readahead(self, pair):
         """Two frames sent back-to-back may both sit in the reader's
         userspace buffer; wait_readable must not block on the empty fd."""
         a, b = pair
-        a.send_pickle(("one", (), {}))
-        a.send_pickle(("two", (), {}))
-        assert b.recv_frame() == ("one", (), {})
+        a.send_v2("one", {})
+        a.send_v2("two", {})
+        assert b.recv_frame().kind == "one"
         assert b.wait_readable(timeout_s=0.05) is True
-        assert b.recv_frame() == ("two", (), {})
+        assert b.recv_frame().kind == "two"
 
     def test_v2_frames_travel_unchanged(self, pair):
         import numpy as np
@@ -207,8 +212,8 @@ class TestSocketLifecycle:
         server = listener.accept(timeout_s=5.0)
         thread.join(timeout=5.0)
         client = results["transport"]
-        client.send_pickle("hi")
-        assert server.recv_frame() == "hi"
+        client.send_v2("hi", {})
+        assert server.recv_frame().kind == "hi"
         for closable in (client, server, listener):
             closable.close()
 
@@ -227,8 +232,8 @@ class TestSocketLifecycle:
         listener = TransportListener(f"unix://{path}")
         client = connect(f"unix://{path}", timeout_s=5.0)
         server = listener.accept(timeout_s=5.0)
-        client.send_pickle("after-steal")
-        assert server.recv_frame() == "after-steal"
+        client.send_v2("after-steal", {})
+        assert server.recv_frame().kind == "after-steal"
         for closable in (client, server, listener):
             closable.close()
         assert not path.exists()  # close() removes the socket file
@@ -255,9 +260,9 @@ class TestPipeDeadlines:
         served even when the fd itself polls empty."""
         a, b = _pipe_pair()
         try:
-            a.send_pickle(("x", (), {}))
+            a.send_v2("x", {})
             time.sleep(0.05)  # let the bytes land in the pipe
-            assert b.recv_frame(timeout_s=0.2) == ("x", (), {})
+            assert b.recv_frame(timeout_s=0.2).kind == "x"
         finally:
             a.close()
             b.close()
@@ -265,11 +270,10 @@ class TestPipeDeadlines:
     def test_in_memory_streams_skip_polling(self):
         import io
 
-        body = wire.pickle_body("payload")
-        rd = io.BytesIO(wire.frame_header(len(body)) + body)
+        rd = io.BytesIO(b"".join(bytes(c) for c in wire.encode_v2("payload", {}, [])))
         transport = PipeTransport(io.BytesIO(), rd, peer="mem")
         assert transport.wait_readable(timeout_s=0.01) is True
-        assert transport.recv_frame(timeout_s=0.01) == "payload"
+        assert transport.recv_frame(timeout_s=0.01).kind == "payload"
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.battery.simulator import SimulationResult
 from repro.core import TwoBranchSoCNet, model_rollout
+from repro.datasets.base import CycleRecord
 from repro.serve import FleetEngine, ShardWorker, WorkerSpec, generate_fleet
 from repro.serve import wire
 
@@ -74,6 +76,20 @@ def decodes_or_value_error(body: bytes) -> None:
     assert isinstance(frame, wire.V2Frame)
 
 
+def tiny_cycle(k: int) -> CycleRecord:
+    """A two-sample cycle, distinct per ``k``."""
+    channels = {name: np.array([k, k + 0.5]) for name in wire._CHANNELS}
+    return CycleRecord(
+        name=f"tiny{k}",
+        split="test",
+        ambient_c=25.0,
+        sampling_period_s=1.0,
+        capacity_ah=2.0,
+        data=SimulationResult(**channels),
+        tags={"k": k},
+    )
+
+
 def roundtrip_v2(kind, meta, arrays):
     buf = io.BytesIO()
     wire.write_v2(buf, kind, meta, arrays)
@@ -103,17 +119,16 @@ class TestFrameCodec:
             # bit-for-bit: compare raw bytes, so NaN payloads count too
             assert got.tobytes() == sent.tobytes()
 
-    def test_pickle_and_v2_frames_share_one_stream(self):
-        buf = io.BytesIO()
-        wire.write_pickle(buf, ("op", ("arg",), {}))
-        wire.write_v2(buf, "estimate", {"k": 1}, [np.arange(3.0)])
-        wire.write_pickle(buf, ("ok", 42))
-        buf.seek(0)
-        assert wire.read_frame(buf) == ("op", ("arg",), {})
-        frame = wire.read_frame(buf)
-        assert isinstance(frame, wire.V2Frame) and frame.meta == {"k": 1}
-        assert wire.read_frame(buf) == ("ok", 42)
-        assert wire.read_frame(buf) is None  # EOF
+    def test_non_v2_body_is_refused_before_unpickling(self, marker_pickle):
+        """The decoder takes v2 bodies only: a pickle is a ``ValueError``
+        and is never loaded, so its ``__reduce__`` never runs."""
+        marker, body = marker_pickle
+        with pytest.raises(ValueError, match="not a v2 frame"):
+            wire.decode_body(body)
+        buf = io.BytesIO(wire.frame_header(len(body)) + body)
+        with pytest.raises(ValueError, match="not a v2 frame"):
+            wire.read_frame(buf)
+        assert not marker.exists()
 
     def test_decoded_arrays_are_views_not_copies(self):
         frame = roundtrip_v2("x", {}, [np.arange(16.0)])
@@ -125,15 +140,15 @@ class TestFrameCodec:
         buf = io.BytesIO()
         with pytest.raises(TypeError):
             wire.write_v2(buf, "x", {"bad": object()}, [])
-        assert buf.getvalue() == b""  # stream still clean for a pickle fallback
+        assert buf.getvalue() == b""  # nothing written: the stream is still framed
 
     def test_object_arrays_are_rejected(self):
         with pytest.raises(TypeError):
             wire.encode_v2("x", {}, [np.array([object()])])
 
     def test_too_many_arrays_raise_typeerror_for_pickle_fallback(self):
-        """Past the 2-byte n_arrays limit the encoder must raise TypeError
-        (not struct.error) so worker calls degrade to pickle frames."""
+        """Past the 2-byte n_arrays limit the encoder must raise a typed
+        TypeError (not struct.error) before anything is written."""
         one = np.zeros(1)
         with pytest.raises(TypeError, match="65535"):
             wire.encode_v2("rollout_fleet", {}, [one] * 65536)
@@ -320,6 +335,27 @@ class TestRolloutCodec:
             assert got.initial_soc == ref.initial_soc
             assert got.step_s == ref.step_s and got.tail_s == ref.tail_s
 
+    def test_request_with_many_unique_cycles_roundtrips(self):
+        """Channels stack across cycles, so 9,000 unique cycles still fit
+        one frame (per-cycle arrays would pass the 65,535-array limit)."""
+        cycles = [tiny_cycle(k) for k in range(9000)]
+        meta, arrays = wire.encode_rollout_request([(f"c{k}", c) for k, c in enumerate(cycles)], 1.0)
+        frame = roundtrip_v2("rollout_fleet", meta, arrays)
+        decoded, _ = wire.decode_rollout_request(frame.meta, frame.arrays)
+        assert len(frame.arrays) == len(arrays) < 16
+        for k in (0, 4567, 8999):
+            cell_id, got = decoded[k]
+            assert cell_id == f"c{k}" and got.name == f"tiny{k}" and got.tags == {"k": k}
+            for name in wire._CHANNELS:
+                np.testing.assert_array_equal(getattr(got.data, name), [k, k + 0.5])
+
+    def test_in_repo_cycle_tags_are_json(self, small_sandia, small_lg, small_fleet):
+        """Every in-repo cycle source tags its cycles with JSON values, so
+        every in-repo workload can cross a worker link."""
+        cycles = [*small_sandia.cycles, *small_lg.cycles, *(m.cycle for m in small_fleet.members)]
+        for cycle in cycles:
+            assert json.loads(json.dumps(cycle.tags)) == cycle.tags
+
     def test_empty_results_roundtrip(self):
         meta, arrays = wire.encode_rollout_results({})
         frame = roundtrip_v2("ok", meta, arrays)
@@ -354,19 +390,30 @@ class TestWorkerInterop:
             np.testing.assert_array_equal(got[cell_id].soc_pred, ref[cell_id].soc_pred)
             np.testing.assert_array_equal(got[cell_id].time_s, ref[cell_id].time_s)
 
-    def test_non_json_tags_fall_back_to_pickle(self, model, small_fleet):
-        """A cycle whose tags v2 cannot express still rolls out (pickled)."""
+    def test_non_json_tags_raise_before_any_byte_is_written(self, model, small_fleet):
+        """A cycle whose tags are not JSON is a ``TypeError`` at the
+        client; nothing reached the link, so the worker keeps serving."""
         import dataclasses as dc
 
         cycle = small_fleet.members[0].cycle
         poisoned = dc.replace(cycle, tags={**cycle.tags, "blob": np.arange(3)})
-        meta, arrays = wire.encode_rollout_request([("a", poisoned)], 120.0)
-        with pytest.raises(TypeError):
-            wire.encode_v2("rollout_fleet", meta, arrays)
-        ref = model_rollout(model, poisoned, 120.0)
-        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="fallback")) as worker:
-            got = worker.rollout_fleet([("a", poisoned)], step_s=120.0)
+        ref = model_rollout(model, cycle, 120.0)
+        with ShardWorker(WorkerSpec(url="pipe://", model=model, name="nonjson")) as worker:
+            with pytest.raises(TypeError):
+                worker.rollout_fleet([("a", poisoned)], step_s=120.0)
+            assert worker.alive
+            got = worker.rollout_fleet([("a", cycle)], step_s=120.0)
         np.testing.assert_allclose(got["a"].soc_pred, ref.soc_pred, atol=1e-9, rtol=0)
+
+    @pytest.mark.parametrize("url", [None, "pipe://"], ids=["inproc", "pipe"])
+    def test_cell_ids_with_nul_are_refused_at_registration(self, model, url, resolve_shard):
+        """Ids cross the wire NUL-joined, so no topology registers one
+        containing NUL; the engine stays usable."""
+        engine = resolve_shard(WorkerSpec(url=url, model=model, name="nul"))
+        with pytest.raises(ValueError, match="NUL"):
+            engine.register_cell("bad\x00id")
+        engine.register_cell("good")
+        assert "bad\x00id" not in engine and len(engine) == 1
 
     def test_scalar_broadcast_ships_one_element_and_results_are_writable(self, model, small_fleet):
         """Fleet-wide scalars cross the pipe once, and every returned

@@ -1,10 +1,14 @@
 """Tests for subprocess shard workers (:mod:`repro.serve.workers`)."""
 
+import io
+import itertools
 import os
 import signal
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import TwoBranchSoCNet
 from repro.serve import (
@@ -16,8 +20,10 @@ from repro.serve import (
     WorkerSpec,
     generate_fleet,
 )
+from repro.serve import wire
 from repro.serve.driftconfig import drift_resolver_from_registry
-from repro.serve.transport import Transport
+from repro.serve.transport import PipeTransport, Transport, connect
+from repro.serve.workers import _REQUESTS, WorkerEndpoint
 
 FAST_FLEET = dict(
     ambient_temps_c=(25.0,),
@@ -155,13 +161,14 @@ class TestProcessShardWorker:
 
     @pytest.mark.parametrize("frame", ["ping", ("ping",), ("ping", (), {}, "extra"), ("ping", None, {}), 42])
     def test_malformed_control_frame_gets_an_err_reply(self, model, frame):
-        """A control frame that is not an (op, args, kwargs) triple is
-        answered with a typed error; the worker keeps serving."""
+        """A control frame whose meta misses its op's declared fields
+        (here the old ``(op, args, kwargs)`` shapes, sent as stray meta)
+        is answered with a typed error; the worker keeps serving."""
         with ShardWorker(WorkerSpec(url="pipe://", model=model, name="garbled")) as worker:
-            reply = worker._transport.request(frame, timeout_s=10.0)
-            assert reply[:2] == ("err", "ValueError")
-            assert "malformed control frame" in reply[2]
-            assert worker._transport.request(("ping", (), {}), timeout_s=10.0) == ("ok", "pong")
+            reply = worker._transport.request("register_cell", {"args": frame}, timeout_s=10.0)
+            assert reply.kind == "err" and reply.meta["type"] == "ValueError"
+            assert "malformed 'register_cell' frame" in reply.meta["message"]
+            assert worker._transport.request("ping", timeout_s=10.0).meta == {"value": "pong"}
             assert worker.alive
 
 
@@ -450,3 +457,99 @@ class TestDriftFromRegistry:
             fleet.estimate(ids, 3.7, 1.0, 25.0)
             events = fleet.drift_events()
             assert {event.cell_id for event in events} == set(ids)
+
+
+# ----------------------------------------------------------------------
+def v2_stream(*messages) -> bytes:
+    """``(kind, meta, arrays)`` messages as one encoded frame stream."""
+    return b"".join(bytes(chunk) for message in messages for chunk in wire.encode_v2(*message))
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+TYPED_VALUES = {
+    str: st.text(max_size=6) | st.sampled_from(["c0", "ghost", "float32"]),
+    int: st.integers(min_value=-2, max_value=64),
+    float: st.floats(allow_nan=False, width=32),
+    bool: st.booleans(),
+    type(None): st.none(),
+    dict: st.dictionaries(st.text(max_size=6), JSON_SCALARS, max_size=4),
+    list: st.lists(JSON_SCALARS, max_size=3),
+}
+ARRAY_DTYPES = st.sampled_from(["<f8", "<f4", "<i8", "|u1", "|b1"])
+SMALL_ARRAYS = st.lists(
+    st.builds(lambda dtype, n: np.arange(n).astype(dtype), ARRAY_DTYPES, st.integers(0, 4)),
+    max_size=5,
+)
+FUZZ_KINDS = st.sampled_from(sorted(set(_REQUESTS) - {"shutdown"})) | st.sampled_from(["", "bogus", "x"])
+
+
+@st.composite
+def request_meta(draw, kind):
+    """Meta for ``kind``: free-form JSON, or its schema's fields, mostly well-typed."""
+    schema = _REQUESTS.get(kind)
+    mode = draw(st.sampled_from(["free", "typed", "typed", "mixed"]))
+    if schema is None or mode == "free":
+        return draw(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4))
+    meta = {}
+    for field, types in schema.items():
+        choices = [TYPED_VALUES[t] for t in (types if isinstance(types, tuple) else (types,))]
+        meta[field] = draw(st.one_of(*choices, *([JSON_VALUES] if mode == "mixed" else [])))
+    return meta
+
+
+class TestWorkerLinkSafety:
+    """Nothing a worker receives can execute code on it, and no frame kills it."""
+
+    def test_pipe_worker_never_unpickles(self, model, marker_pickle):
+        marker, body = marker_pickle
+        worker = ShardWorker(WorkerSpec(url="pipe://", model=model, name="nopickle"))
+        try:
+            worker._transport.send_chunks([wire.frame_header(len(body)), body])
+            assert worker._transport.recv_frame(timeout_s=10.0) is None  # the child hung up
+            assert worker._proc.wait(timeout=10.0) == 0
+        finally:
+            worker.close()
+        assert not marker.exists()
+
+    def test_tcp_listener_never_unpickles(self, model, marker_pickle):
+        marker, body = marker_pickle
+        worker = ShardWorker(WorkerSpec(url="tcp://127.0.0.1:0", model=model, spawn=True, name="nopickle"))
+        try:
+            worker._transport.send_chunks([wire.frame_header(len(body)), body])
+            assert worker._transport.recv_frame(timeout_s=10.0) is None  # that connection is dropped
+            with connect(worker.url, timeout_s=10.0) as fresh:  # the listener serves the next one
+                assert fresh.request("ping", timeout_s=10.0).meta == {"value": "pong"}
+                fresh.request("shutdown", timeout_s=10.0)
+        finally:
+            worker.close()
+        assert not marker.exists()
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_well_formed_frame_gets_a_reply(self, model, tmp_path, monkeypatch, data):
+        """Random kinds (real ops, minus shutdown, and junk), JSON meta and
+        small arrays: each frame gets an ``ok`` or ``err`` reply and the
+        worker then serves a ``ping``."""
+        monkeypatch.chdir(tmp_path)  # fuzzed init paths land here
+        kind = data.draw(FUZZ_KINDS)
+        meta = data.draw(request_meta(kind))
+        arrays = data.draw(SMALL_ARRAYS)
+        stream = v2_stream(
+            ("init", *WorkerSpec(model=model)._init_payload()),
+            ("register_cell", {"cell_id": "c0", "chemistry": None, "model_name": None}, []),
+            (kind, meta, arrays),
+            ("ping", {}, []),
+        )
+        out = io.BytesIO()
+        assert WorkerEndpoint(PipeTransport(out, io.BytesIO(stream))).serve() == "closed"
+        out.seek(0)
+        replies = iter(lambda: wire.read_frame(out), None)
+        assert [reply.kind for reply in itertools.islice(replies, 2)] == ["ok", "ok"]
+        assert next(replies).kind in ("ok", "err")
+        assert next(replies).meta == {"value": "pong"}
+        assert next(replies, None) is None
